@@ -195,7 +195,6 @@ fn run_topology(
         replicas: rservers.iter().map(|s| s.local_addr()).collect(),
     }];
     let router_config = RouterConfig {
-        workers,
         probe_interval: Duration::from_millis(50),
         ..RouterConfig::default()
     };

@@ -167,7 +167,7 @@ fn run_topology(
     objects: usize,
     repeats: usize,
 ) -> PhaseResult {
-    // Every client connection gets a live worker on whatever it dials.
+    // Every client connection gets a live worker on each shard.
     let workers = clients + 2;
     let scratches: Vec<Scratch> = (0..shards.max(1))
         .map(|i| Scratch::new(&format!("{label}-{i}")))
@@ -181,11 +181,8 @@ fn run_topology(
         best_phase(addr, clients, reads, batch, &oids, repeats)
     } else {
         let backends: Vec<SocketAddr> = nodes.iter().map(|(_, s)| s.local_addr()).collect();
-        let config = RouterConfig {
-            workers,
-            ..RouterConfig::default()
-        };
-        let router = OdeRouter::bind("127.0.0.1:0", backends, config).expect("bind router");
+        let router =
+            OdeRouter::bind("127.0.0.1:0", backends, RouterConfig::default()).expect("bind router");
         let addr = router.local_addr();
         let oids = seed(addr, objects);
         let result = best_phase(addr, clients, reads, batch, &oids, repeats);

@@ -33,9 +33,7 @@ use ode::{MergeConflict, MergePolicy, ObjPtr, OdeType, Oid, TypeTag, VersionPtr,
 use ode_codec::{from_bytes, to_bytes};
 
 use crate::error::{NetError, Result};
-use crate::protocol::{
-    read_frame, write_frame, DiffSummary, Request, Response, StatsReport, MAGIC,
-};
+use crate::protocol::{read_frame, write_frame, DiffSummary, Request, Response, StatsReport};
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -247,17 +245,9 @@ impl OdeClient {
         stream.set_read_timeout(self.config.read_timeout)?;
         stream.set_write_timeout(self.config.write_timeout)?;
         stream.set_nodelay(true).ok();
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream);
-        writer.write_all(&MAGIC)?;
-        writer.flush()?;
-        let mut echo = [0u8; 4];
-        io::Read::read_exact(&mut reader, &mut echo)?;
-        if echo != MAGIC {
-            return Err(NetError::Protocol(
-                "server did not echo the handshake magic".into(),
-            ));
-        }
+        crate::wire::handshake(&stream)?;
+        let writer = BufWriter::new(stream.try_clone()?);
+        let reader = BufReader::new(stream);
         self.conn = Some(Conn { reader, writer });
         Ok(())
     }

@@ -26,7 +26,7 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ode::{Database, DatabaseOptions};
 use ode_repl::{HubOptions, NodeStatus, ReplicaNode, ReplicationHub};
@@ -163,6 +163,20 @@ impl Cluster {
                 Cluster::start_replica(i, r, hub_addr.expect("hub exists with replicas"), config)
             })
             .collect();
+        if let Some(hub) = &hub {
+            // Semi-sync only waits for replicas already attached: hand
+            // the tier out once every shipping channel is up, so early
+            // writes are acked by a replica that ingests them instead
+            // of racing its bootstrap snapshot.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while hub.replica_count() < config.replicas {
+                assert!(
+                    Instant::now() < deadline,
+                    "shard {i}: replicas never attached to the hub"
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
         ShardNode {
             path,
             db: Some(db),

@@ -40,7 +40,10 @@
 //! the same protocol on both sides: clients connect to it exactly as
 //! to a single server while it routes each request to one of N backend
 //! shards by object id ([`ShardMap`]) — see the [`router`](OdeRouter)
-//! docs for the ordering and fault semantics. [`Cluster`] and
+//! docs for the ordering and fault semantics. It runs on the same kind
+//! of readiness loop, sharing the server's per-socket state machine
+//! (handshake, frame reassembly, partial writes, interest), so its
+//! thread count is fixed by the shard count, not the client count. [`Cluster`] and
 //! [`relay::FaultRelay`] make the whole tier spawnable in-process for
 //! deterministic fault-injection tests.
 //!
@@ -69,6 +72,7 @@ mod router;
 mod server;
 mod shard;
 mod threaded;
+mod wire;
 
 pub use client::{ClientConfig, ClientObjPtr, ClientVersionPtr, OdeClient, Pipeline};
 pub use cluster::{Cluster, ClusterConfig};

@@ -120,6 +120,20 @@ pub enum Opcode {
 /// Number of opcodes (size of the server's per-opcode counter array).
 pub const OPCODE_COUNT: usize = 29;
 
+/// What a request's shard is decided by, read off its wire bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Routing {
+    /// A new object: the router places it.
+    Placed,
+    /// The object id that leads the operands.
+    Oid,
+    /// The version id that leads the operands.
+    Vid,
+    /// Needs the fully decoded request: answered locally, fanned out,
+    /// or routed by more than one operand.
+    Decoded,
+}
+
 impl Opcode {
     /// Every opcode, in wire order.
     pub const ALL: [Opcode; OPCODE_COUNT] = [
@@ -157,6 +171,49 @@ impl Opcode {
     /// Decode a wire byte.
     pub fn from_u8(b: u8) -> Option<Opcode> {
         Opcode::ALL.get(b as usize).copied()
+    }
+
+    /// Whether requests with this opcode only read — readable from a
+    /// snapshot, and safe for the client to retry once over a fresh
+    /// connection.
+    pub fn is_read(self) -> bool {
+        self.class().0
+    }
+
+    /// How the router finds a request's shard from its wire bytes.
+    pub(crate) fn routing(self) -> Routing {
+        self.class().1
+    }
+
+    /// The one classification table: per opcode, whether it only reads
+    /// and what its request routes by.
+    fn class(self) -> (bool, Routing) {
+        use Opcode as O;
+        use Routing as R;
+        match self {
+            O::Pnew => (false, R::Placed),
+            O::Deref | O::VersionHistory | O::CurrentVersion | O::VersionCount | O::Exists => {
+                (true, R::Oid)
+            }
+            O::Update | O::NewVersion | O::Pdelete => (false, R::Oid),
+            O::DerefVersion
+            | O::Dprevious
+            | O::Dnext
+            | O::Tprevious
+            | O::Tnext
+            | O::ObjectOf
+            | O::VersionExists => (true, R::Vid),
+            O::UpdateVersion | O::NewVersionFrom | O::PdeleteVersion => (false, R::Vid),
+            O::Ping
+            | O::Stats
+            | O::Objects
+            | O::ObjectsPage
+            | O::Epoch
+            | O::ReadFloor
+            | O::HistoryBetween
+            | O::DiffVersions => (true, R::Decoded),
+            O::Promote | O::Merge => (false, R::Decoded),
+        }
     }
 
     /// Human-readable name (stats displays, CLI output).
@@ -412,18 +469,7 @@ impl Request {
     /// Whether this request only reads — readable from a snapshot, and
     /// safe for the client to retry once over a fresh connection.
     pub fn is_read(&self) -> bool {
-        !matches!(
-            self,
-            Request::Pnew { .. }
-                | Request::Update { .. }
-                | Request::UpdateVersion { .. }
-                | Request::NewVersion { .. }
-                | Request::NewVersionFrom { .. }
-                | Request::Pdelete { .. }
-                | Request::PdeleteVersion { .. }
-                | Request::Promote
-                | Request::Merge { .. }
-        )
+        self.opcode().is_read()
     }
 
     /// Encode into a frame payload (no length prefix), stamped with the

@@ -10,6 +10,23 @@
 //! in flight and receive their responses in whatever order the shards
 //! finish.
 //!
+//! ## One readiness loop
+//!
+//! One thread runs an `epoll` loop over the listener, every client
+//! socket, and every backend socket (all nonblocking, sharing the
+//! per-socket state machine in `wire` with [`crate::OdeServer`]). Each
+//! client session lazily dials its own connection to each shard it
+//! uses; the blocking connect + handshake runs on that shard's dialer
+//! thread and the connected socket comes back to the loop. So the
+//! router's thread count is fixed — the loop, the health prober, one
+//! dialer per shard — however many clients are connected, and a slow
+//! dial never stalls the loop or another shard.
+//!
+//! Backpressure is interest-based: a session whose client lets more
+//! than a fixed backlog of responses pile up stops having its backend
+//! sockets read, and a session with any socket that far behind stops
+//! having its client read.
+//!
 //! ## Ordering guarantees
 //!
 //! Requests naming the *same object* always route to the same shard
@@ -34,17 +51,18 @@
 //! ## Scatter requests
 //!
 //! `Ping` is answered by the router itself. `Stats`, `Objects`, and
-//! `ObjectsPage` fan out to every shard and merge: stats counters sum,
-//! extent scans merge-sort by client-visible id (`ObjectsPage`
-//! re-truncates to the requested limit). A scatter fails as a whole if
-//! any shard is down — partial extents would be silent lies.
+//! `ObjectsPage` fan out to every shard and merge: stats counters sum
+//! (gauges take the maximum), extent scans merge-sort by client-visible
+//! id (`ObjectsPage` re-truncates to the requested limit). A scatter
+//! fails as a whole if any shard is down — partial extents would be
+//! silent lies.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle, Scope};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ode::{Oid, Vid};
@@ -54,18 +72,13 @@ use polling::{Event, Poller};
 
 use crate::client::{ClientConfig, OdeClient};
 use crate::error::RemoteError;
-use crate::protocol::{
-    kind, read_frame_into, write_frame, FrameBuffer, Opcode, Request, Response, StatsReport, MAGIC,
-};
+use crate::protocol::{kind, Opcode, Request, Response, Routing, StatsReport};
 use crate::shard::ShardMap;
-use crate::NetError;
+use crate::wire::{handshake, Outbox, Wire};
 
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Worker threads — the maximum number of concurrently served
-    /// client connections (further accepted connections wait in line).
-    pub workers: usize,
     /// Dial + handshake timeout for backend connections.
     pub connect_timeout: Duration,
     /// First reconnect-backoff window after a shard connection fails;
@@ -88,7 +101,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            workers: 16,
             connect_timeout: Duration::from_secs(5),
             reconnect_backoff: Duration::from_millis(50),
             reconnect_backoff_max: Duration::from_secs(2),
@@ -265,29 +277,22 @@ impl RouterStats {
     }
 }
 
-/// State shared by every session of one router.
+/// State shared by the loop, the prober and the caller's handle.
 struct RouterShared {
     membership: Membership,
     map: ShardMap,
     config: RouterConfig,
     stats: RouterStats,
-    /// Round-robin cursor for `Pnew` placement: new objects have no id
-    /// yet, so the router picks their shard and the minted id then
-    /// carries the placement forever.
-    next_pnew_shard: AtomicU64,
     shutdown: AtomicBool,
 }
-
-type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 /// A running shard router. See the module docs.
 pub struct OdeRouter {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
-    conns: ConnRegistry,
-    accept_handle: Option<JoinHandle<()>>,
-    prober_handle: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    poller: Arc<Poller>,
+    /// The loop first: the dialers exit once it drops their queues.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl OdeRouter {
@@ -324,74 +329,63 @@ impl OdeRouter {
         }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let map = ShardMap::new(members.len());
+        listener.set_nonblocking(true)?;
+        let poller = Arc::new(Poller::new()?);
+        poller.add(&listener, Event::readable(LISTENER_KEY))?;
+        let shards = members.len();
         let shared = Arc::new(RouterShared {
             membership: Membership::new(members),
-            map,
-            config: config.clone(),
+            map: ShardMap::new(shards),
+            config,
             stats: RouterStats::default(),
-            next_pnew_shard: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         });
-        let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
 
-        let (conn_tx, conn_rx) = mpsc::channel::<(u64, TcpStream)>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&conn_rx);
-                let conns = Arc::clone(&conns);
+        let (dialed_tx, dialed_rx) = mpsc::channel::<Dialed>();
+        let mut dialers = Vec::with_capacity(shards);
+        let mut threads = Vec::with_capacity(shards + 2);
+        let mut dialer_threads = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let (tx, rx) = mpsc::channel::<Dial>();
+            dialers.push(tx);
+            let done = dialed_tx.clone();
+            let poller = Arc::clone(&poller);
+            let timeout = shared.config.connect_timeout;
+            dialer_threads.push(
                 thread::Builder::new()
-                    .name(format!("ode-router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx, &conns))
-                    .expect("spawn router worker thread")
-            })
-            .collect();
+                    .name(format!("ode-router-dial-{shard}"))
+                    .spawn(move || dialer_loop(rx, timeout, &done, &poller))
+                    .expect("spawn router dialer thread"),
+            );
+        }
 
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ode-router-accept".into())
-                .spawn(move || {
-                    let mut next_id = 0u64;
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let stream = match stream {
-                            Ok(s) => s,
-                            Err(_) => continue,
-                        };
-                        shared
-                            .stats
-                            .client_connections
-                            .fetch_add(1, Ordering::Relaxed);
-                        next_id += 1;
-                        if conn_tx.send((next_id, stream)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn router accept thread")
+        let ctx = Ctx {
+            shared: Arc::clone(&shared),
+            poller: Arc::clone(&poller),
+            dialers,
+            next_pnew: 0,
+            scratch: Vec::new(),
         };
-
-        let prober_handle = {
-            let shared = Arc::clone(&shared);
+        threads.push(
+            thread::Builder::new()
+                .name("ode-router-loop".into())
+                .spawn(move || router_loop(ctx, listener, dialed_rx))
+                .expect("spawn router event-loop thread"),
+        );
+        let prober_shared = Arc::clone(&shared);
+        threads.push(
             thread::Builder::new()
                 .name("ode-router-prober".into())
-                .spawn(move || prober_loop(&shared))
-                .expect("spawn router prober thread")
-        };
+                .spawn(move || prober_loop(&prober_shared))
+                .expect("spawn router prober thread"),
+        );
+        threads.extend(dialer_threads);
 
         Ok(OdeRouter {
             addr,
             shared,
-            conns,
-            accept_handle: Some(accept_handle),
-            prober_handle: Some(prober_handle),
-            workers,
+            poller,
+            threads,
         })
     }
 
@@ -426,8 +420,8 @@ impl OdeRouter {
         self.shared.stats.report()
     }
 
-    /// Stop accepting, close every client session (which closes its
-    /// backend connections), and join all router threads.
+    /// Stop accepting, close every client session and its backend
+    /// connections, and join all router threads.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -436,17 +430,8 @@ impl OdeRouter {
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.prober_handle.take() {
-            let _ = handle.join();
-        }
-        for (_, stream) in self.conns.lock().drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for handle in self.workers.drain(..) {
+        let _ = self.poller.notify();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -455,25 +440,6 @@ impl OdeRouter {
 impl Drop for OdeRouter {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn worker_loop(
-    shared: &RouterShared,
-    rx: &Mutex<mpsc::Receiver<(u64, TcpStream)>>,
-    conns: &ConnRegistry,
-) {
-    loop {
-        let next = rx.lock().recv();
-        let (id, stream) = match next {
-            Ok(pair) => pair,
-            Err(_) => return,
-        };
-        if let Ok(handle) = stream.try_clone() {
-            conns.lock().insert(id, handle);
-        }
-        let _ = serve_session(shared, stream);
-        conns.lock().remove(&id);
     }
 }
 
@@ -619,8 +585,85 @@ enum Route {
     Gather { kind: GatherKind, original: Request },
 }
 
-/// Decide a request's route and translate its ids to backend space.
-fn route(req: Request, map: ShardMap, next_pnew: &AtomicU64) -> Route {
+/// A request forwarded by patching its head, `seq opcode [id] rest…`,
+/// where the routing id (if any) is the first operand. Rewriting the
+/// leading varints straight into a backend frame skips the full
+/// decode/re-encode round trip; the patched ids are canonical varints,
+/// so a shard sees exactly the bytes a re-encode would send. Checking
+/// everything after the routing id is left to the shard: a malformed
+/// tail comes back as the same `BadRequest` frame the router would
+/// produce, because both run the same decoder.
+struct Head<'a> {
+    seq: u64,
+    op: Opcode,
+    shard: usize,
+    /// The routing id in backend space (`None` for `Pnew`).
+    id: Option<u64>,
+    rest: &'a [u8],
+}
+
+/// Parse the head of a `Pnew` or single-id request and pick its shard;
+/// `None` for requests that need the full decode (see [`route`]).
+fn patch_head<'a>(payload: &'a [u8], map: ShardMap, next_pnew: &mut u64) -> Option<Head<'a>> {
+    let (seq, seq_len) = varint::read_u64(payload).ok()?;
+    let op = Opcode::from_u8(*payload.get(seq_len)?)?;
+    let operands = &payload[seq_len + 1..];
+    let (shard, id, rest) = match op.routing() {
+        Routing::Decoded => return None,
+        // New objects have no id yet: the router places them round
+        // robin and the minted id carries the placement forever.
+        Routing::Placed => {
+            let shard = (*next_pnew % map.shard_count() as u64) as usize;
+            *next_pnew += 1;
+            (shard, None, operands)
+        }
+        Routing::Oid => {
+            let (id, len) = varint::read_u64(operands).ok()?;
+            let oid = Oid(id);
+            (
+                map.shard_of(oid),
+                Some(map.backend_oid(oid).0),
+                &operands[len..],
+            )
+        }
+        Routing::Vid => {
+            let (id, len) = varint::read_u64(operands).ok()?;
+            let vid = Vid(id);
+            (
+                map.shard_of_vid(vid),
+                Some(map.backend_vid(vid).0),
+                &operands[len..],
+            )
+        }
+    };
+    Some(Head {
+        seq,
+        op,
+        shard,
+        id,
+        rest,
+    })
+}
+
+impl Head<'_> {
+    /// The backend frame payload under backend sequence id `bseq`.
+    fn write(&self, bseq: u64, out: &mut Vec<u8>) {
+        varint::write_u64(out, bseq);
+        out.push(self.op as u8);
+        if let Some(id) = self.id {
+            varint::write_u64(out, id);
+        }
+        out.extend_from_slice(self.rest);
+    }
+}
+
+/// Decide the route of a request the head-patching fast path
+/// ([`patch_head`]) does not take, translating its ids to backend
+/// space. That path takes every `Pnew` and single-id request whose
+/// head parses, and a head that fails to parse fails [`Request::decode`]
+/// too (the same varint reader, in the same order), so those requests
+/// never arrive here.
+fn route(req: Request, map: ShardMap) -> Route {
     use Request as R;
     let single = |shard, backend| Route::Single { shard, backend };
     match req {
@@ -643,125 +686,6 @@ fn route(req: Request, map: ShardMap, next_pnew: &AtomicU64) -> Route {
             kind: GatherKind::Page { limit },
             original: R::ObjectsPage { tag, after, limit },
         },
-        R::Pnew { tag, body } => {
-            let n = map.shard_count() as u64;
-            let shard = (next_pnew.fetch_add(1, Ordering::Relaxed) % n) as usize;
-            single(shard, R::Pnew { tag, body })
-        }
-        R::Deref { oid, tag } => single(
-            map.shard_of(oid),
-            R::Deref {
-                oid: map.backend_oid(oid),
-                tag,
-            },
-        ),
-        R::Update { oid, tag, body } => single(
-            map.shard_of(oid),
-            R::Update {
-                oid: map.backend_oid(oid),
-                tag,
-                body,
-            },
-        ),
-        R::NewVersion { oid } => single(
-            map.shard_of(oid),
-            R::NewVersion {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::Pdelete { oid } => single(
-            map.shard_of(oid),
-            R::Pdelete {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::VersionHistory { oid } => single(
-            map.shard_of(oid),
-            R::VersionHistory {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::CurrentVersion { oid } => single(
-            map.shard_of(oid),
-            R::CurrentVersion {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::VersionCount { oid } => single(
-            map.shard_of(oid),
-            R::VersionCount {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::Exists { oid } => single(
-            map.shard_of(oid),
-            R::Exists {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::DerefVersion { vid, tag } => single(
-            map.shard_of_vid(vid),
-            R::DerefVersion {
-                vid: map.backend_vid(vid),
-                tag,
-            },
-        ),
-        R::UpdateVersion { vid, tag, body } => single(
-            map.shard_of_vid(vid),
-            R::UpdateVersion {
-                vid: map.backend_vid(vid),
-                tag,
-                body,
-            },
-        ),
-        R::NewVersionFrom { vid } => single(
-            map.shard_of_vid(vid),
-            R::NewVersionFrom {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::PdeleteVersion { vid } => single(
-            map.shard_of_vid(vid),
-            R::PdeleteVersion {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Dprevious { vid } => single(
-            map.shard_of_vid(vid),
-            R::Dprevious {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Dnext { vid } => single(
-            map.shard_of_vid(vid),
-            R::Dnext {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Tprevious { vid } => single(
-            map.shard_of_vid(vid),
-            R::Tprevious {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Tnext { vid } => single(
-            map.shard_of_vid(vid),
-            R::Tnext {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::ObjectOf { vid } => single(
-            map.shard_of_vid(vid),
-            R::ObjectOf {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::VersionExists { vid } => single(
-            map.shard_of_vid(vid),
-            R::VersionExists {
-                vid: map.backend_vid(vid),
-            },
-        ),
         R::HistoryBetween { oid, from, to } => {
             let shard = map.shard_of(oid);
             // Stamps are vid values, so the client-space range maps to
@@ -815,6 +739,7 @@ fn route(req: Request, map: ShardMap, next_pnew: &AtomicU64) -> Route {
                 },
             )
         }
+        other => unreachable!("{:?} takes the head-patching path", other.opcode()),
     }
 }
 
@@ -877,7 +802,48 @@ fn translate_response(resp: Response, map: ShardMap, shard: usize) -> Response {
     }
 }
 
-/// Sum per-shard stats reports into one tier-wide report.
+/// Re-tag a backend response payload with the client's sequence id
+/// without a full decode. Covers the shapes whose only embedded id is
+/// a single leading varint (or none at all): the id is patched, every
+/// byte after it is copied verbatim. The patched varints are canonical
+/// either way, so the frame is byte-for-byte what decode + translate +
+/// re-encode would produce. Returns `None` for richer shapes (and
+/// garbage), which take the slow path.
+fn retag_response(
+    payload: &[u8],
+    after_seq: usize,
+    client_seq: u64,
+    map: ShardMap,
+    shard: usize,
+    out: &mut Vec<u8>,
+) -> Option<()> {
+    let k = *payload.get(after_seq)?;
+    let body = &payload[after_seq + 1..];
+    out.clear();
+    varint::write_u64(out, client_seq);
+    out.push(k);
+    match k {
+        // No ids at all (COUNT's varint is a count, FLAG's byte a bool).
+        kind::PONG | kind::UNIT | kind::COUNT | kind::FLAG => {
+            out.extend_from_slice(body);
+        }
+        kind::VERSION | kind::BODY => {
+            let (vid, len) = varint::read_u64(body).ok()?;
+            varint::write_u64(out, map.client_vid(Vid(vid), shard).0);
+            out.extend_from_slice(&body[len..]);
+        }
+        kind::OBJECT => {
+            let (oid, len) = varint::read_u64(body).ok()?;
+            varint::write_u64(out, map.client_oid(Oid(oid), shard).0);
+            out.extend_from_slice(&body[len..]);
+        }
+        _ => return None, // Created, lists, errors, stats: slow path
+    }
+    Some(())
+}
+
+/// Fold per-shard stats reports into one tier-wide report: counters
+/// sum, gauges take the maximum.
 fn merge_stats(parts: Vec<StatsReport>) -> StatsReport {
     let mut merged = StatsReport::default();
     let mut per_op = [0u64; crate::protocol::OPCODE_COUNT];
@@ -903,15 +869,19 @@ fn merge_stats(parts: Vec<StatsReport>) -> StatsReport {
         merged.storage.group_syncs += part.storage.group_syncs;
         merged.storage.group_commit_txns += part.storage.group_commit_txns;
         merged.storage.bytes_shipped += part.storage.bytes_shipped;
-        merged.storage.replica_lag_epochs += part.storage.replica_lag_epochs;
         merged.storage.failovers += part.storage.failovers;
         merged.storage.write_conflicts += part.storage.write_conflicts;
         merged.storage.write_retries += part.storage.write_retries;
-        // A max, not a sum: the largest cohort any one shard saw.
+        // Gauges take a max, not a sum: the largest cohort any one
+        // shard saw, and the worst replica lag.
         merged.storage.group_batch_max = merged
             .storage
             .group_batch_max
             .max(part.storage.group_batch_max);
+        merged.storage.replica_lag_epochs = merged
+            .storage
+            .replica_lag_epochs
+            .max(part.storage.replica_lag_epochs);
         for (op, n) in part.requests {
             per_op[op as usize] += n;
         }
@@ -938,7 +908,7 @@ fn merge_objects(parts: Vec<Vec<Oid>>, limit: Option<u64>) -> Vec<Oid> {
 }
 
 // ---------------------------------------------------------------------------
-// Session state
+// Scatters
 // ---------------------------------------------------------------------------
 
 /// One in-flight scatter: per-shard parts accumulate until every shard
@@ -1035,32 +1005,52 @@ impl Gather {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The event loop and its sessions
+// ---------------------------------------------------------------------------
+
+/// The listener's poller key. Session `sid` (numbered from 1) owns the
+/// `stride` keys from `sid * stride`: its client socket, then one per
+/// slot.
+const LISTENER_KEY: usize = 0;
+
+/// Backlog (bytes) past which a socket counts as jammed: a session
+/// whose client owes more stops having its backend sockets read, and a
+/// session with any socket this far behind stops having its client
+/// read.
+const BACKLOG_CAP: usize = 1 << 20;
+
 /// What a backend owes for one forwarded sequence id.
 enum Pending {
     /// A single-shard request: answer the client under this seq.
     Single { client_seq: u64 },
-    /// One part of a scatter.
-    Part(Arc<Mutex<Gather>>),
+    /// One part of the session's scatter with this id.
+    Part(u64),
     /// Router-internal bookkeeping (the `ReadFloor` pin sent when a
     /// replica-read connection opens): the response is swallowed.
     Internal,
 }
 
-/// The correlation half of one session's connection to one shard.
-struct SlotCtl {
-    alive: bool,
-    /// Raw handle for tearing the connection down: shutting it makes
-    /// the pump's registered dup readable (HUP), so the pump notices
-    /// without being told.
-    raw: Option<TcpStream>,
-    /// Bumped on every successful dial. A failure report carries the
-    /// generation it observed, so a stale error from a connection that
-    /// has already been replaced can't tear down its successor.
-    generation: u64,
+/// Where one session's connection to one shard stands.
+enum Link {
+    /// No connection; the next request dials (outside a backoff
+    /// window).
+    Down,
+    /// The shard's dialer is connecting; frames queue until the socket
+    /// comes back.
+    Dialing(Outbox),
+    Up(Wire),
+}
+
+/// One session's lazily dialed connection to one shard.
+struct Slot {
+    link: Link,
     /// Next backend sequence id. Never reset across reconnects, so a
     /// bseq is unique for the session's lifetime.
     next_bseq: u64,
-    /// Requests written to this backend and not yet answered.
+    /// Requests queued or sent to this backend and not yet answered.
+    /// Whichever path removes an entry answers the client, so each
+    /// client seq is answered exactly once.
     pending: HashMap<u64, Pending>,
     /// Consecutive connection failures (doubles the backoff).
     failures: u32,
@@ -1068,933 +1058,651 @@ struct SlotCtl {
     down_until: Option<Instant>,
 }
 
-/// One session's lazily-dialed connection to one shard.
-///
-/// Lock order, everywhere: `ctl` → `writer` → (gather) →
-/// `client_writer`. The ctl lock is never held across a backend socket
-/// write, and whichever path removes a [`Pending`] entry answers the
-/// client — each client seq is answered exactly once.
-struct ShardSlot {
-    ctl: Mutex<SlotCtl>,
-    writer: Mutex<Option<BufWriter<TcpStream>>>,
-}
+impl Slot {
+    fn outbox(&mut self) -> Option<&mut Outbox> {
+        match &mut self.link {
+            Link::Down => None,
+            Link::Dialing(out) => Some(out),
+            Link::Up(wire) => Some(&mut wire.out),
+        }
+    }
 
-impl ShardSlot {
-    fn new(_shard: usize) -> ShardSlot {
-        ShardSlot {
-            ctl: Mutex::new(SlotCtl {
-                alive: false,
-                raw: None,
-                generation: 0,
-                next_bseq: 0,
-                pending: HashMap::new(),
-                failures: 0,
-                down_until: None,
-            }),
-            writer: Mutex::new(None),
+    fn backlog(&self) -> usize {
+        match &self.link {
+            Link::Down => 0,
+            Link::Dialing(out) => out.backlog(),
+            Link::Up(wire) => wire.out.backlog(),
         }
     }
 }
 
-/// Per-client-connection state, shared between the client-reader
-/// thread and the session's single backend-pump thread.
+/// A dial for one session's slot, queued to the shard's dialer.
+struct Dial {
+    session: usize,
+    slot: usize,
+    addr: SocketAddr,
+}
+
+/// A finished dial on its way back to the loop.
+struct Dialed {
+    session: usize,
+    slot: usize,
+    result: crate::Result<TcpStream>,
+}
+
+/// One shard's dialer: connect and handshake each queued dial off the
+/// loop, then hand the socket back and wake the loop.
+fn dialer_loop(
+    jobs: mpsc::Receiver<Dial>,
+    timeout: Duration,
+    done: &mpsc::Sender<Dialed>,
+    poller: &Poller,
+) {
+    for Dial {
+        session,
+        slot,
+        addr,
+    } in jobs
+    {
+        let result = dial(addr, timeout);
+        if done
+            .send(Dialed {
+                session,
+                slot,
+                result,
+            })
+            .is_err()
+        {
+            return; // the loop is gone
+        }
+        let _ = poller.notify();
+    }
+}
+
+/// Connect and handshake, each step bounded by `timeout` so a wedged
+/// backend can't hold the dialer.
+fn dial(addr: SocketAddr, timeout: Duration) -> crate::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    handshake(&stream)?;
+    Ok(stream)
+}
+
+/// The doubling reconnect backoff after `failures` consecutive
+/// failures.
+fn backoff(config: &RouterConfig, failures: u32) -> Duration {
+    let exp = failures.saturating_sub(1).min(16);
+    config
+        .reconnect_backoff
+        .saturating_mul(1u32 << exp)
+        .min(config.reconnect_backoff_max)
+}
+
+/// What the loop owns besides its sessions.
+struct Ctx {
+    shared: Arc<RouterShared>,
+    poller: Arc<Poller>,
+    /// One queue per shard, to that shard's dialer thread.
+    dialers: Vec<mpsc::Sender<Dial>>,
+    /// Round-robin cursor for `Pnew` placement.
+    next_pnew: u64,
+    /// Reused to build one backend frame.
+    scratch: Vec<u8>,
+}
+
+/// The router's readiness loop: accept clients, read and write every
+/// client and backend socket, install finished dials, and pump each
+/// session touched by any of it.
+fn router_loop(mut ctx: Ctx, listener: TcpListener, dialed: mpsc::Receiver<Dialed>) {
+    let stride = 2 * ctx.shared.map.shard_count() + 1;
+    let mut sessions: HashMap<usize, Session> = HashMap::new();
+    let mut next_sid = 1;
+    let mut events = Vec::new();
+    let mut scratch = vec![0u8; 64 << 10];
+    // Sessions touched this wakeup, pumped once at the end so a burst
+    // of readiness costs one flush per socket.
+    let mut touched: Vec<usize> = Vec::new();
+    loop {
+        if ctx.poller.wait(&mut events, None).is_err() || ctx.shared.shutdown.load(Ordering::SeqCst)
+        {
+            break;
+        }
+        touched.clear();
+        for ev in &events {
+            if ev.key == LISTENER_KEY {
+                accept_ready(&ctx, &listener, &mut sessions, &mut next_sid, stride);
+                continue;
+            }
+            let (sid, code) = (ev.key / stride, ev.key % stride);
+            let Some(session) = sessions.get_mut(&sid) else {
+                continue; // closed earlier this round
+            };
+            // Readable without read interest means hang-up or error:
+            // reading then just collects the EOF.
+            if ev.readable {
+                let wire = match code {
+                    0 => Some(&mut session.client),
+                    _ => match &mut session.slots[code - 1].link {
+                        Link::Up(wire) => Some(wire),
+                        _ => None,
+                    },
+                };
+                if wire.is_some_and(|wire| !wire.fill(&mut scratch)) {
+                    ctx.shared
+                        .stats
+                        .protocol_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            if !touched.contains(&sid) {
+                touched.push(sid);
+            }
+        }
+        while let Ok(done) = dialed.try_recv() {
+            // A session closed mid-dial drops the socket here.
+            let Some(session) = sessions.get_mut(&done.session) else {
+                continue;
+            };
+            let key = done.session * stride + 1 + done.slot;
+            session.connected(&ctx, key, done.slot, done.result);
+            if !touched.contains(&done.session) {
+                touched.push(done.session);
+            }
+        }
+        for &sid in &touched {
+            let Some(session) = sessions.get_mut(&sid) else {
+                continue;
+            };
+            if session.pump(&mut ctx, sid).is_err() {
+                let mut session = sessions.remove(&sid).expect("session present");
+                session.client.flush();
+                session.close(&ctx.poller);
+            }
+        }
+    }
+    for (_, session) in sessions.drain() {
+        session.close(&ctx.poller);
+    }
+    // `ctx` drops its dialer queues here: the dialers exit.
+}
+
+fn accept_ready(
+    ctx: &Ctx,
+    listener: &TcpListener,
+    sessions: &mut HashMap<usize, Session>,
+    next_sid: &mut usize,
+    stride: usize,
+) {
+    // WouldBlock, or a transient failure (ECONNABORTED, EMFILE): leave
+    // the rest for the next readiness report.
+    while let Ok((stream, _)) = listener.accept() {
+        ctx.shared
+            .stats
+            .client_connections
+            .fetch_add(1, Ordering::Relaxed);
+        let sid = *next_sid;
+        *next_sid += 1;
+        if let Ok(client) = Wire::open(stream, sid * stride, &ctx.poller, false, Outbox::default())
+        {
+            sessions.insert(sid, Session::new(client, ctx.shared.map.shard_count()));
+        }
+    }
+}
+
+/// One client connection and its backend connections.
 ///
 /// Slots come in two banks of `shard_count` each: slot `s` is the
 /// session's *write* connection to shard `s`'s primary, slot
 /// `shard_count + s` its *read* connection (a replica when one is
 /// live, pinned by `ReadFloor`; otherwise the primary again).
-///
-/// Backend responses are multiplexed: instead of one reader thread per
-/// live shard connection, the session runs at most one [`backend_pump`]
-/// thread that `epoll`-waits on every backend socket at once, so a
-/// session costs two threads no matter how many shards it talks to.
-struct Session<'a> {
-    shared: &'a RouterShared,
-    slots: Vec<ShardSlot>,
+struct Session {
+    client: Wire,
+    slots: Vec<Slot>,
     /// Set once the session has written to a shard: its reads flip to
     /// the primary bank forever (read-your-writes without cross-node
     /// epoch bookkeeping).
-    wrote: Vec<AtomicBool>,
-    client_writer: Mutex<BufWriter<TcpStream>>,
-    /// Readiness multiplexer for the backend pump.
-    poller: Poller,
-    /// Freshly dialed connections awaiting pump registration:
-    /// `(slot, generation, pump's read half)`. Pushed *before*
-    /// [`Poller::notify`], drained by the pump.
-    handoff: Mutex<Vec<(usize, u64, TcpStream)>>,
-    /// Tells the pump to exit (session teardown).
-    hangup: AtomicBool,
-    /// Whether the pump thread has been spawned yet — it starts
-    /// lazily with the session's first backend dial, so sessions that
-    /// never reach a shard never pay for it.
-    pump_started: AtomicBool,
+    wrote: Vec<bool>,
+    /// Scatters still waiting on parts, by id.
+    gathers: HashMap<u64, Gather>,
+    next_gather: u64,
 }
 
-impl Session<'_> {
-    /// Which slot a request for `shard` should ride.
-    fn pick_slot(&self, shard: usize, is_read: bool) -> usize {
-        let n = self.shared.map.shard_count();
-        if is_read
-            && self.shared.config.replica_reads
-            && !self.wrote[shard].load(Ordering::Relaxed)
-            && self.shared.membership.has_live_replica(shard)
+impl Session {
+    fn new(client: Wire, shards: usize) -> Session {
+        Session {
+            client,
+            slots: (0..shards * 2)
+                .map(|_| Slot {
+                    link: Link::Down,
+                    next_bseq: 0,
+                    pending: HashMap::new(),
+                    failures: 0,
+                    down_until: None,
+                })
+                .collect(),
+            wrote: vec![false; shards],
+            gathers: HashMap::new(),
+            next_gather: 0,
+        }
+    }
+
+    /// Advance the session: answer what the backends sent, route what
+    /// the client sent, flush, and re-arm. `Err` means the session is
+    /// over and must be closed.
+    fn pump(&mut self, ctx: &mut Ctx, sid: usize) -> Result<(), ()> {
+        let shards = ctx.shared.map.shard_count();
+        for i in 0..self.slots.len() {
+            if let Some(why) = self.read_responses(ctx, i) {
+                let msg = format!("shard {}: {why}; request not retried", i % shards);
+                self.fail_slot(ctx, i, msg);
+            }
+        }
+        if !self.read_requests(ctx, sid) {
+            ctx.shared
+                .stats
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(());
+        }
+        self.client.flush();
+        let drain_backends = self.client.out.backlog() <= BACKLOG_CAP;
+        for i in 0..self.slots.len() {
+            let Link::Up(wire) = &mut self.slots[i].link else {
+                continue;
+            };
+            wire.flush();
+            let why = if wire.out.dead {
+                "write to shard failed"
+            } else if wire.arm(&ctx.poller, drain_backends).is_err() {
+                "poller registration failed"
+            } else {
+                continue;
+            };
+            let msg = format!("shard {}: {why}; request not retried", i % shards);
+            self.fail_slot(ctx, i, msg);
+        }
+        // Failed slots may have queued answers.
+        self.client.flush();
+
+        if self.client.out.dead {
+            return Err(()); // the client is gone
+        }
+        // The client hung up and everything it sent has been answered.
+        if self.client.peer_closed
+            && self.client.out.backlog() == 0
+            && self.slots.iter().all(|s| s.pending.is_empty())
         {
-            n + shard
+            return Err(());
+        }
+        let read = !self.client.peer_closed && !self.jammed();
+        self.client.arm(&ctx.poller, read).map_err(|_| ())
+    }
+
+    /// Whether any socket of the session is over the backlog cap.
+    fn jammed(&self) -> bool {
+        self.client.out.backlog() > BACKLOG_CAP
+            || self.slots.iter().any(|s| s.backlog() > BACKLOG_CAP)
+    }
+
+    /// Route every complete client frame while nothing is jammed; the
+    /// rest stays buffered. False on a frame-level protocol error,
+    /// after which the stream cannot be resynchronized.
+    fn read_requests(&mut self, ctx: &mut Ctx, sid: usize) -> bool {
+        let mut rbuf = std::mem::take(&mut self.client.rbuf);
+        let ok = loop {
+            if self.jammed() {
+                break true;
+            }
+            match rbuf.next_frame() {
+                Ok(Some(payload)) => self.request(ctx, sid, payload),
+                Ok(None) => break true,
+                Err(_) => break false,
+            }
+        };
+        self.client.rbuf = rbuf;
+        ok
+    }
+
+    /// Route one client frame.
+    fn request(&mut self, ctx: &mut Ctx, sid: usize, payload: &[u8]) {
+        let map = ctx.shared.map;
+        if let Some(head) = patch_head(payload, map, &mut ctx.next_pnew) {
+            let slot = self.pick_slot(&ctx.shared, head.shard, head.op.is_read());
+            let pending = Pending::Single {
+                client_seq: head.seq,
+            };
+            self.forward(ctx, sid, slot, pending, |bseq, out| head.write(bseq, out));
+            return;
+        }
+        let stats = &ctx.shared.stats;
+        let (seq, request) = match Request::decode(payload) {
+            Ok(decoded) => decoded,
+            Err(e) => {
+                // Well-delimited frame, bad payload: the stream is
+                // still in sync, report and continue (server behavior).
+                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                let seq = Request::decode_seq(payload).unwrap_or(0);
+                let response = Response::Err(RemoteError::BadRequest(e.to_string()));
+                self.reply(stats, seq, &response);
+                return;
+            }
+        };
+        match route(request, map) {
+            Route::Local(response) => {
+                stats.answered_locally.fetch_add(1, Ordering::Relaxed);
+                self.reply(stats, seq, &response);
+            }
+            Route::Single { shard, backend } => {
+                let slot = self.pick_slot(&ctx.shared, shard, backend.is_read());
+                let pending = Pending::Single { client_seq: seq };
+                self.forward(ctx, sid, slot, pending, |bseq, out| {
+                    *out = backend.encode(bseq)
+                });
+            }
+            Route::Gather { kind, original } => {
+                stats.gathers.fetch_add(1, Ordering::Relaxed);
+                let shards = map.shard_count();
+                let id = self.next_gather;
+                self.next_gather += 1;
+                self.gathers.insert(id, Gather::new(seq, kind, shards));
+                // Scatters always hit the primary bank: a merged extent
+                // or stats report must not mix replica lag in.
+                for shard in 0..shards {
+                    let backend = per_shard_request(&original, map, shard);
+                    self.forward(ctx, sid, shard, Pending::Part(id), |bseq, out| {
+                        *out = backend.encode(bseq)
+                    });
+                }
+            }
+        }
+    }
+
+    /// Which slot a request for `shard` should ride.
+    fn pick_slot(&mut self, shared: &RouterShared, shard: usize, is_read: bool) -> usize {
+        if is_read
+            && shared.config.replica_reads
+            && !self.wrote[shard]
+            && shared.membership.has_live_replica(shard)
+        {
+            shared.map.shard_count() + shard
         } else {
             if !is_read {
-                self.wrote[shard].store(true, Ordering::Relaxed);
+                self.wrote[shard] = true;
             }
             shard
         }
     }
 
-    /// Ship one response frame to the client. `flush` is the
-    /// coalescing decision — callers pass `true` when they are about
-    /// to block with nothing else to write.
-    fn send_client(&self, seq: u64, resp: &Response, flush: bool) -> io::Result<()> {
-        if matches!(resp, Response::Err(RemoteError::Unavailable(_))) {
-            self.shared
-                .stats
-                .unavailable_errors
-                .fetch_add(1, Ordering::Relaxed);
+    /// Queue one request on a slot's connection, dialing it first if it
+    /// is down. `build` writes the backend frame payload once the
+    /// backend sequence id is known. A shard that can't take the
+    /// request has `pending` answered `Unavailable` at once.
+    fn forward(
+        &mut self,
+        ctx: &mut Ctx,
+        sid: usize,
+        slot_idx: usize,
+        pending: Pending,
+        build: impl FnOnce(u64, &mut Vec<u8>),
+    ) {
+        let shards = ctx.shared.map.shard_count();
+        if matches!(self.slots[slot_idx].link, Link::Down) {
+            if let Err(msg) = self.dial(ctx, sid, slot_idx) {
+                let err = Err(RemoteError::Unavailable(msg));
+                self.settle(&ctx.shared.stats, slot_idx % shards, pending, err);
+                return;
+            }
         }
-        let buf = resp.encode(seq);
-        self.send_client_bytes(&buf, flush)
+        let slot = &mut self.slots[slot_idx];
+        let bseq = slot.next_bseq;
+        slot.next_bseq += 1;
+        slot.pending.insert(bseq, pending);
+        ctx.scratch.clear();
+        build(bseq, &mut ctx.scratch);
+        slot.outbox()
+            .expect("a dialing or live slot")
+            .queue(&ctx.scratch);
+        let stats = &ctx.shared.stats;
+        stats.forwarded.fetch_add(1, Ordering::Relaxed);
+        if slot_idx >= shards {
+            stats.replica_reads.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    /// Ship an already-encoded response payload to the client.
-    fn send_client_bytes(&self, buf: &[u8], flush: bool) -> io::Result<()> {
-        let mut w = self.client_writer.lock();
-        write_frame(&mut *w, buf)?;
-        if flush {
-            w.flush()?;
+    /// Hand a down slot to its shard's dialer; until the socket comes
+    /// back, frames for it queue in the slot.
+    ///
+    /// The address comes from the shard's *current* membership: primary
+    /// bank slots dial the primary, read bank slots a live replica (or
+    /// the primary when none is up). A read-bank connection is pinned
+    /// with a `ReadFloor` at the primary's last probed epoch before
+    /// anything else rides it, so the replica can never answer from
+    /// state older than the primary state the router has already
+    /// observed.
+    fn dial(&mut self, ctx: &Ctx, sid: usize, slot_idx: usize) -> Result<(), String> {
+        let shared = &*ctx.shared;
+        let shards = shared.map.shard_count();
+        let shard = slot_idx % shards;
+        let slot = &mut self.slots[slot_idx];
+        if slot.down_until.is_some_and(|until| Instant::now() < until) {
+            return Err(format!("shard {shard} is in its reconnect-backoff window"));
         }
+        if shared.membership.promoting(shard) {
+            // The promotion window: strictly no retry, the request's
+            // outcome on the dying primary is unknown.
+            return Err(format!("shard {shard} is failing over"));
+        }
+        let read_bank = slot_idx >= shards;
+        let addr = if read_bank {
+            shared.membership.pick_read_addr(shard)
+        } else {
+            shared.membership.primary_addr(shard)
+        };
+        let job = Dial {
+            session: sid,
+            slot: slot_idx,
+            addr,
+        };
+        if ctx.dialers[shard].send(job).is_err() {
+            return Err(format!("shard {shard}: the router is shutting down"));
+        }
+        let mut out = Outbox::default();
+        let floor = shared.membership.primary_epoch(shard);
+        if read_bank && floor > 0 {
+            let bseq = slot.next_bseq;
+            slot.next_bseq += 1;
+            slot.pending.insert(bseq, Pending::Internal);
+            out.queue(&Request::ReadFloor { epoch: floor }.encode(bseq));
+        }
+        slot.link = Link::Dialing(out);
         Ok(())
     }
 
-    /// Kill every backend connection and stop the pump (session
-    /// teardown): the pump wakes from its wait and exits.
-    fn shutdown_backends(&self) {
-        for slot in &self.slots {
-            let mut ctl = slot.ctl.lock();
-            ctl.alive = false;
-            if let Some(raw) = ctl.raw.take() {
-                let _ = raw.shutdown(Shutdown::Both);
+    /// Install a finished dial under poller key `key`: the queued frames
+    /// start flowing, or everything that waited on the dial fails.
+    fn connected(
+        &mut self,
+        ctx: &Ctx,
+        key: usize,
+        slot_idx: usize,
+        result: crate::Result<TcpStream>,
+    ) {
+        let slot = &mut self.slots[slot_idx];
+        let Link::Dialing(out) = std::mem::replace(&mut slot.link, Link::Down) else {
+            return; // a dial result nothing waits for
+        };
+        let wire = result.and_then(|stream| Ok(Wire::open(stream, key, &ctx.poller, true, out)?));
+        match wire {
+            Ok(wire) => {
+                slot.link = Link::Up(wire);
+                slot.failures = 0;
+                slot.down_until = None;
+                ctx.shared
+                    .stats
+                    .backend_connects
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                let shard = slot_idx % ctx.shared.map.shard_count();
+                self.fail_slot(ctx, slot_idx, format!("shard {shard} is unreachable: {e}"));
             }
         }
-        self.hangup.store(true, Ordering::Release);
-        let _ = self.poller.notify();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Session threads
-// ---------------------------------------------------------------------------
-
-fn serve_session(shared: &RouterShared, stream: TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-
-    // Handshake: expect the client's magic, echo it back — the router
-    // is indistinguishable from a single server here.
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return Ok(());
-    }
-    let n = shared.map.shard_count();
-    let session = Session {
-        shared,
-        slots: (0..n * 2).map(ShardSlot::new).collect(),
-        wrote: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        client_writer: Mutex::new(BufWriter::new(stream)),
-        poller: Poller::new()?,
-        handoff: Mutex::new(Vec::new()),
-        hangup: AtomicBool::new(false),
-        pump_started: AtomicBool::new(false),
-    };
-    {
-        let mut w = session.client_writer.lock();
-        w.write_all(&MAGIC)?;
-        w.flush()?;
     }
 
-    thread::scope(|scope| {
-        let result = client_loop(scope, &session, &mut reader);
-        // Kill the backends and wake the pump; the scope joins it.
-        session.shutdown_backends();
-        result
-    })
-}
+    /// Tear down one slot's connection, start its backoff clock, and
+    /// answer everything pending on it with `Unavailable(msg)`.
+    fn fail_slot(&mut self, ctx: &Ctx, slot_idx: usize, msg: String) {
+        let shared = &*ctx.shared;
+        let slot = &mut self.slots[slot_idx];
+        if let Link::Up(wire) = std::mem::replace(&mut slot.link, Link::Down) {
+            wire.close(&ctx.poller);
+        }
+        slot.failures += 1;
+        slot.down_until = Some(Instant::now() + backoff(&shared.config, slot.failures));
+        shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
+        let drained: Vec<Pending> = slot.pending.drain().map(|(_, p)| p).collect();
+        let shard = slot_idx % shared.map.shard_count();
+        for pending in drained {
+            let err = Err(RemoteError::Unavailable(msg.clone()));
+            self.settle(&shared.stats, shard, pending, err);
+        }
+    }
 
-/// The session's client-facing half: decode frames, route each one,
-/// and coalesce flushes — backend writers and the client writer are
-/// only flushed when the client has nothing more buffered.
-fn client_loop<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    reader: &mut BufReader<TcpStream>,
-) -> io::Result<()> {
-    let shared = session.shared;
-    let mut dirty_slots = vec![false; session.slots.len()];
-    let mut client_dirty = false;
-    // Reused across frames: the inbound payload and the outbound
-    // backend-frame scratch.
-    let mut payload = Vec::new();
-    let mut scratch = Vec::new();
-    loop {
-        // Before blocking on the socket, flush everything owed: the
-        // batch the client pipelined is fully forwarded, and our own
-        // locally-answered frames are on their way.
-        if reader.buffer().is_empty() {
-            if client_dirty {
-                session.client_writer.lock().flush()?;
-                client_dirty = false;
-            }
-            for (i, dirty) in dirty_slots.iter_mut().enumerate() {
-                if *dirty {
-                    *dirty = false;
-                    if let Some(w) = session.slots[i].writer.lock().as_mut() {
-                        let _ = w.flush();
+    /// Answer every complete frame a slot's backend has sent. Returns
+    /// why the connection must be torn down, if it must.
+    fn read_responses(&mut self, ctx: &mut Ctx, slot_idx: usize) -> Option<&'static str> {
+        let Link::Up(wire) = &mut self.slots[slot_idx].link else {
+            return None;
+        };
+        let closed = wire.peer_closed;
+        let mut rbuf = std::mem::take(&mut wire.rbuf);
+        let fault = loop {
+            match rbuf.next_frame() {
+                Ok(Some(payload)) => {
+                    if let Err(why) = self.response(ctx, slot_idx, payload) {
+                        break Some(why);
                     }
                 }
+                Ok(None) => break closed.then_some("connection lost"),
+                Err(_) => {
+                    // A backend framing its stream wrong can't be
+                    // trusted for anything in flight: kill the
+                    // connection, which answers every pending request.
+                    ctx.shared
+                        .stats
+                        .protocol_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    break Some(UNDECODABLE);
+                }
             }
+        };
+        if let Link::Up(wire) = &mut self.slots[slot_idx].link {
+            wire.rbuf = rbuf;
         }
-        match read_frame_into(reader, &mut payload) {
-            Ok(true) => {}
-            Ok(false) => return Ok(()), // client hung up cleanly
-            Err(NetError::Io(e)) => return Err(e),
-            Err(_) => {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        fault
+    }
+
+    /// Correlate one backend frame with its pending entry, translate
+    /// ids, and answer the client. `Err` means the connection can no
+    /// longer be trusted.
+    fn response(
+        &mut self,
+        ctx: &mut Ctx,
+        slot_idx: usize,
+        payload: &[u8],
+    ) -> Result<(), &'static str> {
+        let stats = &ctx.shared.stats;
+        let map = ctx.shared.map;
+        let shard = slot_idx % map.shard_count();
+        let Ok((bseq, bseq_len)) = varint::read_u64(payload) else {
+            stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            return Err(UNDECODABLE);
+        };
+        let pending = match self.slots[slot_idx].pending.remove(&bseq) {
+            Some(Pending::Internal) => return Ok(()), // the `ReadFloor` pin's ack
+            Some(pending) => pending,
+            None => {
+                // A response nothing asked for; ignoring it would leave
+                // the correlation state suspect, so treat as a fault.
+                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                return Err("response with unknown sequence id");
+            }
+        };
+        // Single-id shapes re-tag in place, without a decode.
+        if let Pending::Single { client_seq } = pending {
+            if retag_response(payload, bseq_len, client_seq, map, shard, &mut ctx.scratch).is_some()
+            {
+                self.client.out.queue(&ctx.scratch);
                 return Ok(());
             }
-        };
-        // Fast path: most requests are `seq opcode id rest…` with the
-        // routing id as their first field. Patching the two leading
-        // varints straight into a backend frame skips the full
-        // decode/re-encode round trip; the patched ids are canonical
-        // varints either way, so a shard sees exactly the bytes the
-        // slow path would have sent. Anything unparseable falls
-        // through to the slow path for a proper error.
-        if let Some((shard, sent)) = fast_forward(scope, session, &payload, &mut scratch) {
-            match sent {
-                Sent::Forwarded => dirty_slots[shard] = true,
-                Sent::Answered => client_dirty = true,
-            }
-            continue;
         }
-        let (seq, request) = match Request::decode(&payload) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                // Well-delimited frame, bad payload: the stream is
-                // still in sync, report and continue (server behavior).
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let seq = Request::decode_seq(&payload).unwrap_or(0);
-                let response = Response::Err(RemoteError::BadRequest(e.to_string()));
-                session.send_client(seq, &response, false)?;
-                client_dirty = true;
-                continue;
-            }
-        };
-        match route(request, shared.map, &shared.next_pnew_shard) {
-            Route::Local(resp) => {
-                shared
-                    .stats
-                    .answered_locally
-                    .fetch_add(1, Ordering::Relaxed);
-                session.send_client(seq, &resp, false)?;
-                client_dirty = true;
-            }
-            Route::Single { shard, backend } => {
-                let slot = session.pick_slot(shard, backend.is_read());
-                let build = |bseq, out: &mut Vec<u8>| *out = backend.encode(bseq);
-                if route_single(scope, session, slot, seq, &mut scratch, build).forwarded() {
-                    dirty_slots[slot] = true;
-                } else {
-                    client_dirty = true;
-                }
-            }
-            Route::Gather { kind, original } => {
-                shared.stats.gathers.fetch_add(1, Ordering::Relaxed);
-                let shards = shared.map.shard_count();
-                let gather = Arc::new(Mutex::new(Gather::new(seq, kind, shards)));
-                // Scatters always hit the primary bank: a merged extent
-                // or stats report must not mix replica lag in.
-                for (shard, dirty) in dirty_slots.iter_mut().enumerate().take(shards) {
-                    let backend = per_shard_request(&original, shared.map, shard);
-                    match route_part(scope, session, shard, &backend, &mut scratch, &gather) {
-                        Sent::Forwarded => *dirty = true,
-                        Sent::Answered => client_dirty = true,
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Forward an id-keyed (or `Pnew`) request by patching its leading
-/// varints in place, skipping the full `Request` decode. Returns the
-/// shard it went to, or `None` when the frame needs the slow path —
-/// a local answer, a scatter, or a payload whose head doesn't parse.
-///
-/// Validation of everything after the routing id is delegated to the
-/// shard: a malformed tail comes back as the same `BadRequest` frame
-/// the router itself would have produced, because shard and router run
-/// the same decoder.
-fn fast_forward<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    payload: &[u8],
-    scratch: &mut Vec<u8>,
-) -> Option<(usize, Sent)> {
-    let shared = session.shared;
-    let map = shared.map;
-    let (seq, seq_len) = varint::read_u64(payload).ok()?;
-    let op = Opcode::from_u8(*payload.get(seq_len)?)?;
-    let after_op = seq_len + 1;
-
-    // `Pnew` carries no id — the router places it; everything after
-    // the opcode forwards verbatim.
-    if op == Opcode::Pnew {
-        let n = map.shard_count() as u64;
-        let shard = (shared.next_pnew_shard.fetch_add(1, Ordering::Relaxed) % n) as usize;
-        let slot = session.pick_slot(shard, false);
-        let sent = route_single(scope, session, slot, seq, scratch, |bseq, out| {
-            varint::write_u64(out, bseq);
-            out.extend_from_slice(&payload[seq_len..]);
-        });
-        return Some((slot, sent));
-    }
-
-    let oid_keyed = matches!(
-        op,
-        Opcode::Deref
-            | Opcode::Update
-            | Opcode::NewVersion
-            | Opcode::Pdelete
-            | Opcode::VersionHistory
-            | Opcode::CurrentVersion
-            | Opcode::VersionCount
-            | Opcode::Exists
-    );
-    let vid_keyed = matches!(
-        op,
-        Opcode::DerefVersion
-            | Opcode::UpdateVersion
-            | Opcode::NewVersionFrom
-            | Opcode::PdeleteVersion
-            | Opcode::Dprevious
-            | Opcode::Dnext
-            | Opcode::Tprevious
-            | Opcode::Tnext
-            | Opcode::ObjectOf
-            | Opcode::VersionExists
-    );
-    if !oid_keyed && !vid_keyed {
-        return None; // Ping, Stats, extent scans: slow path
-    }
-    let is_read = !matches!(
-        op,
-        Opcode::Update
-            | Opcode::NewVersion
-            | Opcode::Pdelete
-            | Opcode::UpdateVersion
-            | Opcode::NewVersionFrom
-            | Opcode::PdeleteVersion
-    );
-    let (id, id_len) = varint::read_u64(&payload[after_op..]).ok()?;
-    let rest = &payload[after_op + id_len..];
-    let (shard, backend_id) = if oid_keyed {
-        (map.shard_of(Oid(id)), map.backend_oid(Oid(id)).0)
-    } else {
-        (map.shard_of_vid(Vid(id)), map.backend_vid(Vid(id)).0)
-    };
-    let slot = session.pick_slot(shard, is_read);
-    let sent = route_single(scope, session, slot, seq, scratch, |bseq, out| {
-        varint::write_u64(out, bseq);
-        out.push(op as u8);
-        varint::write_u64(out, backend_id);
-        out.extend_from_slice(rest);
-    });
-    Some((slot, sent))
-}
-
-/// Outcome of trying to hand a request to a shard: either it is on the
-/// backend's wire (an answer will come through the slot's pending
-/// table), or the client was already answered (unavailable shard).
-#[derive(PartialEq)]
-enum Sent {
-    Forwarded,
-    Answered,
-}
-
-impl Sent {
-    fn forwarded(&self) -> bool {
-        matches!(self, Sent::Forwarded)
-    }
-}
-
-/// Forward one single-shard request. `build` writes the backend frame
-/// into the (cleared) scratch buffer once the backend sequence id is
-/// known.
-fn route_single<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    slot: usize,
-    client_seq: u64,
-    scratch: &mut Vec<u8>,
-    build: impl FnOnce(u64, &mut Vec<u8>),
-) -> Sent {
-    forward(
-        scope,
-        session,
-        slot,
-        scratch,
-        build,
-        Pending::Single { client_seq },
-        |session, err| {
-            let _ = session.send_client(client_seq, &Response::Err(err), false);
-        },
-    )
-}
-
-/// Forward one part of a scatter.
-fn route_part<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    shard: usize,
-    backend: &Request,
-    scratch: &mut Vec<u8>,
-    gather: &Arc<Mutex<Gather>>,
-) -> Sent {
-    forward(
-        scope,
-        session,
-        shard,
-        scratch,
-        |bseq, out| *out = backend.encode(bseq),
-        Pending::Part(Arc::clone(gather)),
-        |session, err| {
-            let done = gather.lock().complete_part(shard, Err(err));
-            if let Some(resp) = done {
-                let seq = gather.lock().client_seq;
-                let _ = session.send_client(seq, &resp, false);
-            }
-        },
-    )
-}
-
-/// The shared forwarding path: ensure a live connection, register the
-/// pending entry, write the frame `build` produces for the assigned
-/// backend sequence id. `on_unavailable` runs when the request never
-/// made it onto a backend wire (the pending entry, if registered, has
-/// already been drained by the failure path — exactly one of the two
-/// answers the client).
-fn forward<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    slot_idx: usize,
-    scratch: &mut Vec<u8>,
-    build: impl FnOnce(u64, &mut Vec<u8>),
-    pending: Pending,
-    on_unavailable: impl FnOnce(&Session<'env>, RemoteError),
-) -> Sent {
-    let slot = &session.slots[slot_idx];
-    let (bseq, generation) = {
-        let mut ctl = slot.ctl.lock();
-        if !ctl.alive {
-            if let Err(msg) = ensure_conn(scope, session, slot_idx, &mut ctl) {
-                on_unavailable(session, RemoteError::Unavailable(msg));
-                return Sent::Answered;
-            }
-        }
-        let bseq = ctl.next_bseq;
-        ctl.next_bseq += 1;
-        ctl.pending.insert(bseq, pending);
-        (bseq, ctl.generation)
-    };
-    session
-        .shared
-        .stats
-        .forwarded
-        .fetch_add(1, Ordering::Relaxed);
-    if slot_idx >= session.shared.map.shard_count() {
-        session
-            .shared
-            .stats
-            .replica_reads
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    // The ctl lock is released: if the connection dies right here, the
-    // failure path drains our pending entry and answers the client;
-    // the writer below is then gone and we silently stand down.
-    let write_result = {
-        let mut w = slot.writer.lock();
-        match w.as_mut() {
-            None => return Sent::Forwarded, // failure path owns the answer
-            Some(w) => {
-                scratch.clear();
-                build(bseq, scratch);
-                write_frame(w, scratch).map(|_| ())
-            }
-        }
-    };
-    if write_result.is_err() {
-        fail_slot(session, slot_idx, generation, "write to shard failed");
-    }
-    Sent::Forwarded
-}
-
-/// Dial a dead slot's backend, handshake, and hand the connection to
-/// the session's backend pump (spawning the pump on the session's
-/// first dial). Called with the slot's ctl lock held; on success the
-/// slot is alive.
-///
-/// The address comes from the shard's *current* membership: primary
-/// bank slots dial the primary, read bank slots a live replica (or the
-/// primary when none is up). A read-bank connection is pinned with a
-/// `ReadFloor` at the primary's last probed epoch before anything else
-/// rides it, so the replica can never answer from state older than the
-/// primary state the router has already observed.
-fn ensure_conn<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    slot_idx: usize,
-    ctl: &mut SlotCtl,
-) -> Result<(), String> {
-    let shared = session.shared;
-    let shard = slot_idx % shared.map.shard_count();
-    if let Some(until) = ctl.down_until {
-        if Instant::now() < until {
-            return Err(format!("shard {shard} is in its reconnect-backoff window"));
-        }
-    }
-    if shared.membership.promoting(shard) {
-        // The promotion window: strictly no retry, the request's
-        // outcome on the dying primary is unknown.
-        return Err(format!("shard {shard} is failing over"));
-    }
-    let read_bank = slot_idx >= shared.map.shard_count();
-    let addr = if read_bank {
-        shared.membership.pick_read_addr(shard)
-    } else {
-        shared.membership.primary_addr(shard)
-    };
-    let config = &shared.config;
-    let dial = || -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        stream.set_nodelay(true).ok();
-        // Handshake under a deadline so a wedged backend can't hang
-        // the whole session; cleared once the echo arrives.
-        stream.set_read_timeout(Some(config.connect_timeout))?;
-        let mut stream_w = stream.try_clone()?;
-        stream_w.write_all(&MAGIC)?;
-        stream_w.flush()?;
-        let mut echo = [0u8; 4];
-        (&stream).read_exact(&mut echo)?;
-        if echo != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "backend handshake mismatch",
-            ));
-        }
-        stream.set_read_timeout(None)?;
-        Ok(stream)
-    };
-    match dial() {
-        Ok(stream) => {
-            let pump_half = match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => return Err(format!("shard {shard}: {e}")),
-            };
-            let writer_half = match stream.try_clone().map(BufWriter::new) {
-                Ok(w) => w,
-                Err(e) => return Err(format!("shard {shard}: {e}")),
-            };
-            *session.slots[slot_idx].writer.lock() = Some(writer_half);
-            ctl.alive = true;
-            ctl.raw = Some(stream);
-            ctl.generation += 1;
-            ctl.failures = 0;
-            ctl.down_until = None;
-            if read_bank {
-                let floor = shared.membership.primary_epoch(shard);
-                if floor > 0 {
-                    let bseq = ctl.next_bseq;
-                    ctl.next_bseq += 1;
-                    ctl.pending.insert(bseq, Pending::Internal);
-                    let frame = Request::ReadFloor { epoch: floor }.encode(bseq);
-                    if let Some(w) = session.slots[slot_idx].writer.lock().as_mut() {
-                        let _ = write_frame(w, &frame);
-                    }
-                }
-            }
-            shared
-                .stats
-                .backend_connects
-                .fetch_add(1, Ordering::Relaxed);
-            // Hand the read half to the pump: push *then* notify, so
-            // the pump can't wake without seeing the registration.
-            session
-                .handoff
-                .lock()
-                .push((slot_idx, ctl.generation, pump_half));
-            if !session.pump_started.swap(true, Ordering::SeqCst) {
-                scope.spawn(move || backend_pump(session));
-            }
-            let _ = session.poller.notify();
-            Ok(())
-        }
-        Err(e) => {
-            ctl.failures += 1;
-            let exp = ctl.failures.saturating_sub(1).min(16);
-            let backoff = config
-                .reconnect_backoff
-                .saturating_mul(1u32 << exp)
-                .min(config.reconnect_backoff_max);
-            ctl.down_until = Some(Instant::now() + backoff);
-            shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
-            Err(format!("shard {shard} is unreachable: {e}"))
-        }
-    }
-}
-
-/// Tear down one slot's connection: mark it dead, start the backoff
-/// clock, and answer every pending request with `Unavailable`. Safe to
-/// call from any thread; only the first caller acts. `generation` is
-/// the connection the caller saw fail — if the slot has already been
-/// torn down *and redialed* since, the report is stale and ignored.
-fn fail_slot(session: &Session<'_>, slot_idx: usize, generation: u64, why: &str) {
-    let shard = slot_idx % session.shared.map.shard_count();
-    let slot = &session.slots[slot_idx];
-    let drained: Vec<(u64, Pending)> = {
-        let mut ctl = slot.ctl.lock();
-        if !ctl.alive || ctl.generation != generation {
-            return; // already torn down (or a successor is up)
-        }
-        ctl.alive = false;
-        if let Some(raw) = ctl.raw.take() {
-            let _ = raw.shutdown(Shutdown::Both);
-        }
-        ctl.failures += 1;
-        let exp = ctl.failures.saturating_sub(1).min(16);
-        let backoff = session
-            .shared
-            .config
-            .reconnect_backoff
-            .saturating_mul(1u32 << exp)
-            .min(session.shared.config.reconnect_backoff_max);
-        ctl.down_until = Some(Instant::now() + backoff);
-        ctl.pending.drain().collect()
-    };
-    *slot.writer.lock() = None;
-    session
-        .shared
-        .stats
-        .shard_failures
-        .fetch_add(1, Ordering::Relaxed);
-    let err = || RemoteError::Unavailable(format!("shard {shard}: {why}; request not retried"));
-    for (_, pending) in drained {
-        match pending {
-            Pending::Single { client_seq } => {
-                let _ = session.send_client(client_seq, &Response::Err(err()), false);
-            }
-            Pending::Part(gather) => {
-                let done = gather.lock().complete_part(shard, Err(err()));
-                if let Some(resp) = done {
-                    let seq = gather.lock().client_seq;
-                    let _ = session.send_client(seq, &resp, false);
-                }
-            }
-            Pending::Internal => {} // nothing owed to the client
-        }
-    }
-    // The drained answers must not sit in the buffer: the client loop
-    // doesn't know we wrote them.
-    let _ = session.client_writer.lock().flush();
-}
-
-/// Re-tag a backend response payload with the client's sequence id
-/// without a full decode. Covers the shapes whose only embedded id is
-/// a single leading varint (or none at all): the id is patched, every
-/// byte after it is copied verbatim. The patched varints are canonical
-/// either way, so the frame is byte-for-byte what decode + translate +
-/// re-encode would produce. Returns `None` for richer shapes (and
-/// garbage), which take the slow path.
-fn retag_response(
-    payload: &[u8],
-    after_seq: usize,
-    client_seq: u64,
-    map: ShardMap,
-    shard: usize,
-    out: &mut Vec<u8>,
-) -> Option<()> {
-    let k = *payload.get(after_seq)?;
-    let body = &payload[after_seq + 1..];
-    out.clear();
-    varint::write_u64(out, client_seq);
-    out.push(k);
-    match k {
-        // No ids at all (COUNT's varint is a count, FLAG's byte a bool).
-        kind::PONG | kind::UNIT | kind::COUNT | kind::FLAG => {
-            out.extend_from_slice(body);
-        }
-        kind::VERSION | kind::BODY => {
-            let (vid, len) = varint::read_u64(body).ok()?;
-            varint::write_u64(out, map.client_vid(Vid(vid), shard).0);
-            out.extend_from_slice(&body[len..]);
-        }
-        kind::OBJECT => {
-            let (oid, len) = varint::read_u64(body).ok()?;
-            varint::write_u64(out, map.client_oid(Oid(oid), shard).0);
-            out.extend_from_slice(&body[len..]);
-        }
-        _ => return None, // Created, lists, errors, stats: slow path
-    }
-    Some(())
-}
-
-/// One live backend connection as the pump sees it: the read half
-/// (registered with the poller under a session-unique key) and its
-/// frame-reassembly buffer.
-struct PumpConn {
-    slot_idx: usize,
-    /// The slot generation this connection was dialed under; failure
-    /// reports carry it so they can't hit a successor connection.
-    generation: u64,
-    stream: TcpStream,
-    fbuf: FrameBuffer,
-}
-
-/// What one pump step decided about a connection.
-enum PumpStatus {
-    /// Connection healthy, keep it registered.
-    Keep,
-    /// Connection faulted: fail the slot and drop the registration.
-    Drop(&'static str),
-    /// The *client* writer is dead — the session is tearing down, so
-    /// the pump exits wholesale.
-    ClientGone,
-}
-
-/// The session's backend-response pump: one thread multiplexing every
-/// live shard connection through an epoll [`Poller`], replacing the
-/// old reader-thread-per-backend design.
-///
-/// Backend sockets stay **blocking** — under level-triggered readiness
-/// a single `read` per readable event cannot block (readable means at
-/// least one byte, or EOF/error, is waiting), and the blocking writer
-/// halves used by [`forward`] keep their simple `BufWriter` semantics.
-/// New connections arrive through `Session::handoff` (pushed before a
-/// [`Poller::notify`]); dead ones are noticed by the HUP their
-/// shutdown causes. Each registration gets a fresh key, so a stale
-/// event for a replaced connection can never be misread as its
-/// successor's.
-fn backend_pump(session: &Session<'_>) {
-    let mut conns: HashMap<usize, PumpConn> = HashMap::new();
-    let mut next_key = 0usize;
-    let mut events = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    // Reused across frames: the re-tagged outbound copy.
-    let mut retagged = Vec::new();
-    loop {
-        if session.poller.wait(&mut events, None).is_err() {
-            return;
-        }
-        if session.hangup.load(Ordering::Acquire) {
-            return; // teardown: shutdown_backends owns the sockets
-        }
-        // Register connections dialed since the last round. Drained to
-        // a local vec first: fail_slot takes ctl locks, and ensure_conn
-        // pushes here *while holding* a ctl lock.
-        let fresh: Vec<_> = session.handoff.lock().drain(..).collect();
-        for (slot_idx, generation, stream) in fresh {
-            let key = next_key;
-            next_key += 1;
-            if session.poller.add(&stream, Event::readable(key)).is_err() {
-                fail_slot(session, slot_idx, generation, "pump registration failed");
-                continue;
-            }
-            conns.insert(
-                key,
-                PumpConn {
-                    slot_idx,
-                    generation,
-                    stream,
-                    fbuf: FrameBuffer::new(),
-                },
-            );
-        }
-        let mut wrote = false;
-        for ev in &events {
-            let Some(conn) = conns.get_mut(&ev.key) else {
-                continue; // stale event for a dropped registration
-            };
-            match pump_step(session, conn, &mut scratch, &mut retagged, &mut wrote) {
-                PumpStatus::Keep => {}
-                PumpStatus::Drop(why) => {
-                    let conn = conns.remove(&ev.key).expect("checked above");
-                    fail_slot(session, conn.slot_idx, conn.generation, why);
-                    // Deregister before the dup closes on drop.
-                    let _ = session.poller.delete(&conn.stream);
-                }
-                PumpStatus::ClientGone => return,
-            }
-        }
-        // One flush per readiness round: responses from every backend
-        // that spoke this round share it.
-        if wrote && session.client_writer.lock().flush().is_err() {
-            return;
-        }
-    }
-}
-
-/// Service one readable event: a single `read` (safe on the blocking
-/// socket — the event guarantees it won't park), then every complete
-/// frame it yields.
-fn pump_step(
-    session: &Session<'_>,
-    conn: &mut PumpConn,
-    scratch: &mut [u8],
-    retagged: &mut Vec<u8>,
-    wrote: &mut bool,
-) -> PumpStatus {
-    let n = match (&conn.stream).read(scratch) {
-        Ok(0) => return PumpStatus::Drop("connection lost"),
-        Ok(n) => n,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return PumpStatus::Keep,
-        Err(_) => return PumpStatus::Drop("connection lost"),
-    };
-    conn.fbuf.extend(&scratch[..n]);
-    let slot_idx = conn.slot_idx;
-    loop {
-        match conn.fbuf.next_frame() {
-            Ok(None) => return PumpStatus::Keep,
-            Ok(Some(payload)) => {
-                match on_backend_frame(session, slot_idx, payload, retagged, wrote) {
-                    FrameVerdict::Answered => {}
-                    FrameVerdict::Fault(why) => return PumpStatus::Drop(why),
-                    FrameVerdict::ClientGone => return PumpStatus::ClientGone,
-                }
+        match Response::decode(payload) {
+            Ok((_, response)) => {
+                let response = translate_response(response, map, shard);
+                self.settle(stats, shard, pending, Ok(response));
+                Ok(())
             }
             Err(_) => {
-                // A backend framing its stream wrong can't be trusted
-                // for anything in flight: kill the connection, which
-                // answers every pending request cleanly.
-                session
-                    .shared
-                    .stats
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return PumpStatus::Drop("undecodable response from shard");
+                // The pending entry is already removed, so this frame
+                // owns its answer: the same `Unavailable` the failure
+                // path gives everything else in flight.
+                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                let msg = format!("shard {shard}: {UNDECODABLE}; request not retried");
+                self.settle(stats, shard, pending, Err(RemoteError::Unavailable(msg)));
+                Err(UNDECODABLE)
             }
         }
     }
-}
 
-/// What correlating one backend frame concluded.
-enum FrameVerdict {
-    Answered,
-    Fault(&'static str),
-    ClientGone,
-}
-
-/// Correlate one backend frame with its pending entry, translate ids,
-/// and answer the client. `*wrote` records that the client writer now
-/// holds unflushed bytes — the pump flushes once per readiness round.
-fn on_backend_frame(
-    session: &Session<'_>,
-    slot_idx: usize,
-    payload: &[u8],
-    retagged: &mut Vec<u8>,
-    wrote: &mut bool,
-) -> FrameVerdict {
-    let map = session.shared.map;
-    let shard = slot_idx % map.shard_count();
-    let Ok((bseq, bseq_len)) = varint::read_u64(payload) else {
-        session
-            .shared
-            .stats
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return FrameVerdict::Fault("undecodable response from shard");
-    };
-    let pending = session.slots[slot_idx].ctl.lock().pending.remove(&bseq);
-    // The pending entry is already removed, so this frame owns the
-    // answer for `bseq` — on an undecodable payload it answers with
-    // the exact `Unavailable` the failure path gives everything else
-    // in flight, then has the connection torn down.
-    let undecodable = |session: &Session<'_>| {
-        session
-            .shared
-            .stats
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        RemoteError::Unavailable(format!(
-            "shard {shard}: undecodable response from shard; request not retried"
-        ))
-    };
-    match pending {
-        None => {
-            // A response nothing asked for; ignoring it would leave
-            // the correlation state suspect, so treat as a fault.
-            session
-                .shared
-                .stats
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-            FrameVerdict::Fault("response with unknown sequence id")
-        }
-        Some(Pending::Internal) => FrameVerdict::Answered, // the `ReadFloor` pin's ack
-        Some(Pending::Single { client_seq }) => {
-            // Fast path first: single-id shapes re-tag in place.
-            if retag_response(payload, bseq_len, client_seq, map, shard, retagged).is_some() {
-                *wrote = true;
-                return match session.send_client_bytes(retagged, false) {
-                    Ok(()) => FrameVerdict::Answered,
-                    Err(_) => FrameVerdict::ClientGone,
+    /// Deliver one backend outcome to whoever `pending` says is owed it.
+    fn settle(
+        &mut self,
+        stats: &RouterStats,
+        shard: usize,
+        pending: Pending,
+        outcome: Result<Response, RemoteError>,
+    ) {
+        match pending {
+            Pending::Internal => {}
+            Pending::Single { client_seq } => {
+                self.reply(stats, client_seq, &outcome.unwrap_or_else(Response::Err));
+            }
+            Pending::Part(id) => {
+                let Some(gather) = self.gathers.get_mut(&id) else {
+                    return;
                 };
-            }
-            match Response::decode(payload) {
-                Ok((_, response)) => {
-                    let resp = translate_response(response, map, shard);
-                    *wrote = true;
-                    match session.send_client(client_seq, &resp, false) {
-                        Ok(()) => FrameVerdict::Answered,
-                        Err(_) => FrameVerdict::ClientGone,
-                    }
-                }
-                Err(_) => {
-                    let err = undecodable(session);
-                    *wrote = true;
-                    let _ = session.send_client(client_seq, &Response::Err(err), false);
-                    FrameVerdict::Fault("undecodable response from shard")
+                if let Some(merged) = gather.complete_part(shard, outcome) {
+                    let seq = gather.client_seq;
+                    self.gathers.remove(&id);
+                    self.reply(stats, seq, &merged);
                 }
             }
         }
-        Some(Pending::Part(gather)) => {
-            let part = match Response::decode(payload) {
-                Ok((_, response)) => Ok(translate_response(response, map, shard)),
-                Err(_) => Err(undecodable(session)),
-            };
-            let failed = part.is_err();
-            let done = gather.lock().complete_part(shard, part);
-            if let Some(merged) = done {
-                let seq = gather.lock().client_seq;
-                *wrote = true;
-                if session.send_client(seq, &merged, false).is_err() {
-                    return FrameVerdict::ClientGone;
-                }
-            }
-            if failed {
-                FrameVerdict::Fault("undecodable response from shard")
-            } else {
-                FrameVerdict::Answered
+    }
+
+    /// Queue one response frame to the client.
+    fn reply(&mut self, stats: &RouterStats, seq: u64, response: &Response) {
+        if matches!(response, Response::Err(RemoteError::Unavailable(_))) {
+            stats.unavailable_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.client.out.queue(&response.encode(seq));
+    }
+
+    /// Close the client socket and every backend connection. Dials still
+    /// in flight come back to no session and are dropped.
+    fn close(self, poller: &Poller) {
+        self.client.close(poller);
+        for slot in self.slots {
+            if let Link::Up(wire) = slot.link {
+                wire.close(poller);
             }
         }
     }
 }
+
+/// Why a backend that sent garbage is dropped.
+const UNDECODABLE: &str = "undecodable response from shard";
 
 #[cfg(test)]
 mod tests {
@@ -2020,6 +1728,7 @@ mod tests {
                 read_txs: 10,
                 write_txs: 3,
                 group_batch_max: 4,
+                replica_lag_epochs: 2,
                 write_conflicts: 2,
                 write_retries: 1,
                 ..Default::default()
@@ -2042,6 +1751,7 @@ mod tests {
                 read_txs: 20,
                 write_txs: 5,
                 group_batch_max: 2,
+                replica_lag_epochs: 5,
                 write_conflicts: 3,
                 write_retries: 2,
                 ..Default::default()
@@ -2063,8 +1773,9 @@ mod tests {
         assert_eq!(merged.storage.write_txs, 8);
         assert_eq!(merged.storage.write_conflicts, 5);
         assert_eq!(merged.storage.write_retries, 3);
-        // Max across shards, not a sum.
+        // Gauges: max across shards, not a sum.
         assert_eq!(merged.storage.group_batch_max, 4);
+        assert_eq!(merged.storage.replica_lag_epochs, 5);
         assert_eq!(merged.requests_for(Opcode::Deref), 10);
         assert_eq!(merged.requests_for(Opcode::Pnew), 3);
         assert_eq!(merged.requests_for(Opcode::Ping), 1);
@@ -2172,7 +1883,6 @@ mod tests {
     #[test]
     fn history_and_diff_route_to_the_owning_shard() {
         let map = ShardMap::new(3);
-        let rr = AtomicU64::new(0);
         // Oid 7 lives on shard 1; client stamps [4, 22] on shard 1 are
         // {4, 7, 10, 13, 16, 19, 22} = backend stamps 1..=7.
         match route(
@@ -2182,7 +1892,6 @@ mod tests {
                 to: 22,
             },
             map,
-            &rr,
         ) {
             Route::Single { shard, backend } => {
                 assert_eq!(shard, 1);
@@ -2205,7 +1914,6 @@ mod tests {
                 to: 1,
             },
             map,
-            &rr,
         ) {
             Route::Local(Response::Versions(v)) => assert!(v.is_empty()),
             _ => panic!("empty range must answer locally"),
@@ -2217,7 +1925,6 @@ mod tests {
                 to: Vid(7),
             },
             map,
-            &rr,
         ) {
             Route::Single { shard, backend } => {
                 assert_eq!(shard, 1);
@@ -2238,7 +1945,6 @@ mod tests {
                 to: Vid(8),
             },
             map,
-            &rr,
         ) {
             Route::Local(Response::Err(RemoteError::BadRequest(_))) => {}
             _ => panic!("cross-shard diff must be refused locally"),
@@ -2248,7 +1954,6 @@ mod tests {
     #[test]
     fn merge_routes_like_diff_and_remaps_only_the_version() {
         let map = ShardMap::new(3);
-        let rr = AtomicU64::new(0);
         // Same shard: forwarded with both parent vids translated and
         // the policy untouched.
         match route(
@@ -2258,7 +1963,6 @@ mod tests {
                 policy: ode::MergePolicy::Ours,
             },
             map,
-            &rr,
         ) {
             Route::Single { shard, backend } => {
                 assert_eq!(shard, 1);
@@ -2281,7 +1985,6 @@ mod tests {
                 policy: ode::MergePolicy::Fail,
             },
             map,
-            &rr,
         ) {
             Route::Local(Response::Err(RemoteError::BadRequest(_))) => {}
             _ => panic!("cross-shard merge must be refused locally"),
@@ -2313,40 +2016,94 @@ mod tests {
     #[test]
     fn pnew_places_round_robin_and_keyed_requests_follow_their_id() {
         let map = ShardMap::new(3);
-        let rr = AtomicU64::new(0);
+        let mut rr = 0;
+        let pnew = Request::Pnew {
+            tag: TypeTag(1),
+            body: vec![],
+        }
+        .encode(9);
         for expect in [0usize, 1, 2, 0, 1] {
-            match route(
-                Request::Pnew {
-                    tag: TypeTag(1),
-                    body: vec![],
-                },
-                map,
-                &rr,
-            ) {
-                Route::Single { shard, .. } => assert_eq!(shard, expect),
-                _ => panic!("pnew must route to a single shard"),
-            }
+            let head = patch_head(&pnew, map, &mut rr).expect("pnew takes the patching path");
+            assert_eq!(head.shard, expect);
         }
         // Oid 7 on 3 shards: shard 1, backend id 2.
-        match route(
-            Request::Deref {
-                oid: Oid(7),
-                tag: TypeTag(1),
+        let deref = Request::Deref {
+            oid: Oid(7),
+            tag: TypeTag(1),
+        }
+        .encode(9);
+        let head = patch_head(&deref, map, &mut rr).expect("deref takes the patching path");
+        assert_eq!(head.shard, 1);
+        let mut backend = Vec::new();
+        head.write(4, &mut backend);
+        assert_eq!(
+            Request::decode(&backend).unwrap(),
+            (
+                4,
+                Request::Deref {
+                    oid: Oid(2),
+                    tag: TypeTag(1)
+                }
+            )
+        );
+    }
+
+    #[test]
+    fn the_patching_path_rejects_only_what_decode_rejects() {
+        let map = ShardMap::new(3);
+        let mut rr = 0;
+        let (oid, vid, tag) = (Oid(300), Vid(300), TypeTag(1));
+        let patched = [
+            Request::Pnew { tag, body: vec![1] },
+            Request::Deref { oid, tag },
+            Request::DerefVersion { vid, tag },
+            Request::Update {
+                oid,
+                tag,
+                body: vec![2],
             },
-            map,
-            &rr,
-        ) {
-            Route::Single { shard, backend } => {
-                assert_eq!(shard, 1);
-                assert_eq!(
-                    backend,
-                    Request::Deref {
-                        oid: Oid(2),
-                        tag: TypeTag(1)
-                    }
-                );
+            Request::UpdateVersion {
+                vid,
+                tag,
+                body: vec![3],
+            },
+            Request::NewVersion { oid },
+            Request::NewVersionFrom { vid },
+            Request::Pdelete { oid },
+            Request::PdeleteVersion { vid },
+            Request::Dprevious { vid },
+            Request::Dnext { vid },
+            Request::Tprevious { vid },
+            Request::Tnext { vid },
+            Request::VersionHistory { oid },
+            Request::CurrentVersion { oid },
+            Request::ObjectOf { vid },
+            Request::VersionCount { oid },
+            Request::Exists { oid },
+            Request::VersionExists { vid },
+        ];
+        let covered: Vec<Opcode> = patched.iter().map(Request::opcode).collect();
+        for op in Opcode::ALL {
+            assert_eq!(
+                op.routing() != Routing::Decoded,
+                covered.contains(&op),
+                "{op:?}"
+            );
+        }
+        for request in &patched {
+            let full = request.encode(300);
+            assert!(patch_head(&full, map, &mut rr).is_some(), "{request:?}");
+            // Every truncation the patching path refuses, decode
+            // refuses too — so `route` never sees these opcodes.
+            for cut in 0..full.len() {
+                let part = &full[..cut];
+                if patch_head(part, map, &mut rr).is_none() {
+                    assert!(Request::decode(part).is_err(), "{request:?} cut at {cut}");
+                }
             }
-            _ => panic!("deref must route to a single shard"),
+        }
+        for request in [Request::Ping, Request::Stats, Request::Objects { tag }] {
+            assert!(patch_head(&request.encode(1), map, &mut rr).is_none());
         }
     }
 

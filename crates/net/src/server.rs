@@ -53,8 +53,8 @@
 //! commit), and all threads are joined.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -66,9 +66,9 @@ use polling::{Event, Poller};
 use crate::cache::SnapshotCache;
 use crate::error::RemoteError;
 use crate::protocol::{
-    write_frame, DiffSummary, FrameBuffer, Opcode, Request, Response, StatsReport, StorageCounters,
-    MAGIC, OPCODE_COUNT,
+    DiffSummary, Opcode, Request, Response, StatsReport, StorageCounters, OPCODE_COUNT,
 };
+use crate::wire::{Outbox, Wire};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -479,18 +479,13 @@ impl Completions {
 }
 
 /// Per-connection state machine. The `state` a connection is in is
-/// encoded by its buffers and flags: bytes pending in `rbuf` =
-/// reading-frame, `dispatched` = executing, bytes pending in `wbuf` =
-/// writing-response; all three can hold at once (that is what
-/// pipelining means).
+/// encoded by its buffers and flags: bytes pending in the wire's read
+/// buffer = reading-frame, `dispatched` = executing, an outbox backlog
+/// = writing-response; all three can hold at once (that is what
+/// pipelining means). Handshake, reassembly, partial writes and
+/// interest live in the shared [`Wire`].
 struct Conn {
-    stream: TcpStream,
-    token: usize,
-    /// Handshake progress: how many magic bytes have been read
-    /// (sessions start in the handshake state, `got < 4`).
-    magic_got: usize,
-    /// Partial-read buffer: accumulates socket bytes, yields frames.
-    rbuf: FrameBuffer,
+    wire: Wire,
     /// Decoded jobs not yet dispatched to the workers.
     inbox: VecDeque<Job>,
     /// A batch is executing on the worker pool (at most one at a time
@@ -502,55 +497,6 @@ struct Conn {
     /// The connection's read floor (the `ReadFloor` opcode), applied
     /// to reads decoded after it.
     read_floor: u64,
-    /// Partial-write buffer (`wpos` = bytes already on the wire).
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Peer sent EOF: finish decoded work, then close.
-    peer_closed: bool,
-    /// The socket's write side failed; responses are discarded but
-    /// decoded writes still execute (they were accepted off the wire).
-    write_dead: bool,
-    /// Interest currently armed with the poller, to skip no-op
-    /// `modify` syscalls.
-    armed: (bool, bool),
-}
-
-impl Conn {
-    fn backlog(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-
-    /// Appends one response frame to the write buffer.
-    fn queue_frame(&mut self, stats: &ServerStats, payload: &[u8]) {
-        queue_frame(
-            &mut self.wbuf,
-            &mut self.wpos,
-            self.write_dead,
-            stats,
-            payload,
-        );
-    }
-}
-
-/// [`Conn::queue_frame`] over split borrows, for call sites holding a
-/// frame payload borrowed out of the same connection's read buffer.
-fn queue_frame(
-    wbuf: &mut Vec<u8>,
-    wpos: &mut usize,
-    write_dead: bool,
-    stats: &ServerStats,
-    payload: &[u8],
-) {
-    if write_dead {
-        return;
-    }
-    // Compact lazily once the sent prefix dominates.
-    if *wpos > 4096 && *wpos * 2 > wbuf.len() {
-        wbuf.drain(..*wpos);
-        *wpos = 0;
-    }
-    let written = write_frame(wbuf, payload).expect("Vec write is infallible");
-    stats.bytes_out.fetch_add(written, Ordering::Relaxed);
 }
 
 /// Why a connection is being torn down.
@@ -763,8 +709,10 @@ fn event_loop(
             let Some(conn) = conns.get_mut(&ev.key) else {
                 continue;
             };
-            if ev.readable {
-                read_ready(conn, ctx, &mut scratch, depth);
+            // A full inbox leaves unread bytes in the kernel buffer;
+            // the pump below drops the read interest.
+            if ev.readable && conn.inbox.len() < depth && !conn.wire.fill(&mut scratch) {
+                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
             }
             if !touched.contains(&ev.key) {
                 touched.push(ev.key);
@@ -776,7 +724,7 @@ fn event_loop(
             let Some(c) = completions.queue.lock().unwrap().pop_front() else {
                 break;
             };
-            match c {
+            let token = match c {
                 Completion::Response {
                     token,
                     out,
@@ -790,20 +738,21 @@ fn event_loop(
                     if is_write {
                         conn.pending_writes -= 1;
                     }
-                    conn.queue_frame(stats, &out);
-                    if !touched.contains(&token) {
-                        touched.push(token);
-                    }
+                    stats
+                        .bytes_out
+                        .fetch_add(conn.wire.out.queue(&out), Ordering::Relaxed);
+                    token
                 }
                 Completion::BatchDone { token } => {
                     let Some(conn) = conns.get_mut(&token) else {
                         continue;
                     };
                     conn.dispatched = false;
-                    if !touched.contains(&token) {
-                        touched.push(token);
-                    }
+                    token
                 }
+            };
+            if !touched.contains(&token) {
+                touched.push(token);
             }
         }
 
@@ -813,25 +762,17 @@ fn event_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            match pump(conn, ctx, poller, &job_tx, depth, write_cap) {
-                Ok(()) => {}
-                Err(close) => {
-                    if let Close::Evicted = close {
-                        stats.slow_client_evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let mut conn = conns.remove(&token).expect("conn present");
-                    // Best-effort final flush (one nonblocking pass),
-                    // mirroring the threaded server's buffered-writer
-                    // drop: answers queued before a fatal frame should
-                    // still try to reach the client.
-                    if !conn.write_dead && conn.backlog() > 0 {
-                        let wpos = conn.wpos;
-                        let _ = conn.stream.write_all(&conn.wbuf[wpos..]);
-                    }
-                    let _ = poller.delete(&conn.stream);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    stats.active_connections.fetch_sub(1, Ordering::Relaxed);
+            if let Err(close) = pump(conn, ctx, poller, &job_tx, depth, write_cap) {
+                if let Close::Evicted = close {
+                    stats.slow_client_evictions.fetch_add(1, Ordering::Relaxed);
                 }
+                let mut conn = conns.remove(&token).expect("conn present");
+                // Best-effort final flush, mirroring the threaded
+                // server's buffered-writer drop: answers queued before
+                // a fatal frame should still try to reach the client.
+                conn.wire.flush();
+                conn.wire.close(poller);
+                stats.active_connections.fetch_sub(1, Ordering::Relaxed);
             }
             if shutdown.load(Ordering::SeqCst) {
                 break 'run;
@@ -845,12 +786,11 @@ fn event_loop(
     for (_, mut conn) in conns.drain() {
         if !conn.inbox.is_empty() {
             let _ = job_tx.send(Batch {
-                token: conn.token,
+                token: conn.wire.key,
                 jobs: conn.inbox.drain(..).collect(),
             });
         }
-        let _ = poller.delete(&conn.stream);
-        let _ = conn.stream.shutdown(Shutdown::Both);
+        conn.wire.close(poller);
         stats.active_connections.fetch_sub(1, Ordering::Relaxed);
     }
     drop(listener);
@@ -864,92 +804,26 @@ fn accept_ready(
     next_token: &mut usize,
     stats: &ServerStats,
 ) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            // Transient accept failures (ECONNABORTED, EMFILE): leave
-            // the rest for the next readiness report.
-            Err(_) => break,
-        };
+    // WouldBlock, or a transient failure (ECONNABORTED, EMFILE): leave
+    // the rest for the next readiness report.
+    while let Ok((stream, _)) = listener.accept() {
         stats.total_connections.fetch_add(1, Ordering::Relaxed);
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        stream.set_nodelay(true).ok();
         let token = *next_token;
         *next_token += 1;
-        if poller.add(&stream, Event::readable(token)).is_err() {
+        let Ok(wire) = Wire::open(stream, token, poller, false, Outbox::default()) else {
             continue;
-        }
+        };
         stats.active_connections.fetch_add(1, Ordering::Relaxed);
         conns.insert(
             token,
             Conn {
-                stream,
-                token,
-                magic_got: 0,
-                rbuf: FrameBuffer::new(),
+                wire,
                 inbox: VecDeque::new(),
                 dispatched: false,
                 pending_writes: 0,
                 read_floor: 0,
-                wbuf: Vec::new(),
-                wpos: 0,
-                peer_closed: false,
-                write_dead: false,
-                armed: (true, false),
             },
         );
-    }
-}
-
-/// Pull whatever the kernel has into the connection's read state.
-/// Stops early once the inbox is full (backpressure): unread bytes
-/// stay in the kernel buffer and the read interest is dropped by the
-/// subsequent pump.
-fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8], depth: usize) {
-    while !conn.peer_closed && conn.inbox.len() < depth {
-        let n = match conn.stream.read(scratch) {
-            Ok(0) => {
-                conn.peer_closed = true;
-                break;
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Reset mid-stream: what was decoded still executes,
-                // nothing more arrives and nothing can be delivered.
-                conn.peer_closed = true;
-                conn.write_dead = true;
-                break;
-            }
-        };
-        let mut bytes = &scratch[..n];
-        // Handshake state: expect the client's 4 magic bytes, echo
-        // them back.
-        if conn.magic_got < 4 {
-            let take = bytes.len().min(4 - conn.magic_got);
-            let (magic, rest) = bytes.split_at(take);
-            if magic != &MAGIC[conn.magic_got..conn.magic_got + take] {
-                ctx.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                conn.peer_closed = true;
-                conn.write_dead = true;
-                return;
-            }
-            conn.magic_got += take;
-            bytes = rest;
-            if conn.magic_got == 4 && !conn.write_dead {
-                // The echo is raw bytes, not a frame: splice it in
-                // front of the write buffer path directly.
-                conn.wbuf.extend_from_slice(&MAGIC);
-            }
-            if bytes.is_empty() {
-                continue;
-            }
-        }
-        conn.rbuf.extend(bytes);
     }
 }
 
@@ -962,16 +836,18 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx, depth: usize) -> Result<(), Clos
     // Split borrows: frame payloads stay borrowed out of `rbuf` while
     // the other connection fields are written.
     let Conn {
-        rbuf,
+        wire: Wire { rbuf, out, .. },
         inbox,
         pending_writes,
         read_floor,
-        wbuf,
-        wpos,
-        write_dead,
         ..
     } = conn;
-    let mut out = Vec::new();
+    let mut reply = |frame: &[u8]| {
+        stats
+            .bytes_out
+            .fetch_add(out.queue(frame), Ordering::Relaxed);
+    };
+    let mut buf = Vec::new();
     while inbox.len() < depth {
         let payload: &[u8] = match rbuf.next_frame() {
             Ok(Some(payload)) => payload,
@@ -995,8 +871,7 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx, depth: usize) -> Result<(), Clos
                 // alive.
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let seq = Request::decode_seq(payload).unwrap_or(0);
-                let frame = Response::Err(RemoteError::BadRequest(e.to_string())).encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
+                reply(&Response::Err(RemoteError::BadRequest(e.to_string())).encode(seq));
                 continue;
             }
         };
@@ -1004,27 +879,17 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx, depth: usize) -> Result<(), Clos
 
         match request {
             // Answered in place, possibly ahead of queued work.
-            Request::Ping => {
-                let frame = Response::Pong.encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-            }
-            Request::Stats => {
-                let frame = Response::Stats(stats.report(cache, db)).encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-            }
+            Request::Ping => reply(&Response::Pong.encode(seq)),
+            Request::Stats => reply(&Response::Stats(stats.report(cache, db)).encode(seq)),
             // The router's health probe: answered inline so a node busy
             // with queued work still reports its epoch promptly.
-            Request::Epoch => {
-                let frame = Response::Count(db.snapshot_epoch()).encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-            }
+            Request::Epoch => reply(&Response::Count(db.snapshot_epoch()).encode(seq)),
             // Set here, in stream order: every read decoded after this
             // frame sees the new floor, exactly the read-your-writes
             // contract the router relies on.
             Request::ReadFloor { epoch } => {
                 *read_floor = epoch;
-                let frame = Response::Unit.encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
+                reply(&Response::Unit.encode(seq));
             }
             request if request.is_read() => {
                 // The cache key is the request's operation bytes — the
@@ -1041,10 +906,10 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx, depth: usize) -> Result<(), Clos
                     if let Some(cached) = cache.lookup(db.snapshot_epoch(), op_bytes) {
                         // Wire-ready bytes: this caller's sequence id
                         // prefixed onto the stored encoded response.
-                        out.clear();
-                        ode_codec::varint::write_u64(&mut out, seq);
-                        out.extend_from_slice(&cached);
-                        queue_frame(wbuf, wpos, *write_dead, stats, &out);
+                        buf.clear();
+                        ode_codec::varint::write_u64(&mut buf, seq);
+                        buf.extend_from_slice(&cached);
+                        reply(&buf);
                         continue;
                     }
                     looked_up = true;
@@ -1089,37 +954,20 @@ fn pump(
     // Dispatch the next batch, if none is executing.
     if !conn.dispatched && !conn.inbox.is_empty() {
         let batch = Batch {
-            token: conn.token,
+            token: conn.wire.key,
             jobs: conn.inbox.drain(..).collect(),
         };
         conn.dispatched = true;
         let _ = job_tx.send(batch);
     }
 
-    // Flush as far as the socket allows.
-    while conn.wpos < conn.wbuf.len() && !conn.write_dead {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.write_dead = true;
-            }
-            Ok(n) => conn.wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.write_dead = true;
-            }
-        }
-    }
-    if conn.write_dead {
-        // Undeliverable: drop the backlog, keep executing what was
-        // decoded.
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
+    // Undeliverable responses are dropped; decoded work still executes.
+    conn.wire.flush();
+    let backlog = conn.wire.out.backlog();
 
     // Slow-client guard: a reader this far behind its responses is
     // evicted rather than allowed to pin server memory.
-    if conn.backlog() > write_cap {
+    if backlog > write_cap {
         return Err(Close::Evicted);
     }
 
@@ -1127,30 +975,12 @@ fn pump(
     // (`parse_frames` just ran and the dispatch above drained the
     // inbox, so any bytes still in `rbuf` are a partial frame cut off
     // by the EOF — exactly the case the threaded server closed on.)
-    if conn.peer_closed
-        && !conn.dispatched
-        && conn.inbox.is_empty()
-        && (conn.backlog() == 0 || conn.write_dead)
-    {
+    if conn.wire.peer_closed && !conn.dispatched && conn.inbox.is_empty() && backlog == 0 {
         return Err(Close::Done);
     }
 
     // Re-arm interest to match the state machine: read while the inbox
     // has room, write while there is backlog.
-    let want = (
-        !conn.peer_closed && conn.inbox.len() < depth,
-        conn.backlog() > 0 && !conn.write_dead,
-    );
-    if want != conn.armed {
-        let ev = Event {
-            key: conn.token,
-            readable: want.0,
-            writable: want.1,
-        };
-        if poller.modify(&conn.stream, ev).is_err() {
-            return Err(Close::Done);
-        }
-        conn.armed = want;
-    }
-    Ok(())
+    let read = !conn.wire.peer_closed && conn.inbox.len() < depth;
+    conn.wire.arm(poller, read).map_err(|_| Close::Done)
 }

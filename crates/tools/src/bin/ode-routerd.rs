@@ -2,7 +2,7 @@
 //! address.
 //!
 //! ```text
-//! ode-routerd <addr> <backend>... [--workers N] [--stats-every SECS]
+//! ode-routerd <addr> <backend>... [--stats-every SECS]
 //! ```
 //!
 //! Binds `<addr>` (e.g. `127.0.0.1:4806`; port 0 picks a free port and
@@ -35,7 +35,6 @@ fn usage() -> ExitCode {
          \x20 <addr>             address to serve clients on\n\
          \x20 <backend>...       shard addresses, in shard-map order\n\
          options:\n\
-         \x20 --workers N        client worker threads (default: CPU count, 4..=16)\n\
          \x20 --stats-every SECS print router stats periodically"
     );
     ExitCode::from(2)
@@ -47,16 +46,11 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let mut config = RouterConfig::default();
     let mut stats_every: Option<Duration> = None;
     let mut backends: Vec<SocketAddr> = Vec::new();
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--workers" => match rest.next().and_then(|s| s.parse().ok()) {
-                Some(n) => config.workers = n,
-                None => return usage(),
-            },
             "--stats-every" => match rest.next().and_then(|s| s.parse().ok()) {
                 Some(secs) => stats_every = Some(Duration::from_secs(secs)),
                 None => return usage(),
@@ -78,7 +72,7 @@ fn main() -> ExitCode {
     }
 
     let shards = backends.len();
-    let router = match OdeRouter::bind(addr.as_str(), backends, config) {
+    let router = match OdeRouter::bind(addr.as_str(), backends, RouterConfig::default()) {
         Ok(router) => router,
         Err(e) => {
             eprintln!("ode-routerd: cannot bind {addr}: {e}");
