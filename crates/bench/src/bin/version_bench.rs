@@ -12,7 +12,12 @@
 //!
 //! - **space** — bytes the store holds per engine, and the chain/whole
 //!   ratio. The paper's claim is that at ≥ 20 versions per object the
-//!   chain stores at most a third of the whole-copy bytes.
+//!   chain stores at most a third of the whole-copy bytes. The headline
+//!   also states both against the raw document bytes: a whole copy is
+//!   the encoded `Doc`, whose `text` is a user `Vec<u8>` field and so
+//!   pays the generic codec's one varint per byte (~1.5× raw); the
+//!   store adds nothing on top, since its own byte strings are length
+//!   prefix plus raw bytes.
 //! - **latest reads** — ns per `deref` of the newest version. The chain
 //!   keeps the newest body whole, so this must stay within noise of the
 //!   whole-body engine (the acceptance bar is 10%).
@@ -68,6 +73,8 @@ struct Built {
     /// Sum of encoded body bytes as written — exactly what whole-body
     /// storage holds for this history.
     whole_bytes: u64,
+    /// Sum of the raw document bytes (`Doc.text`) behind those bodies.
+    raw_bytes: u64,
 }
 
 fn build(
@@ -84,6 +91,7 @@ fn build(
     let mut ptrs = Vec::with_capacity(objects);
     let mut vids = Vec::with_capacity(objects);
     let mut whole_bytes = 0u64;
+    let mut raw_bytes = 0u64;
     let mut txn = db.begin();
     for o in 0..objects {
         let doc = Doc {
@@ -91,6 +99,7 @@ fn build(
             text: body(o, 0, body_bytes),
         };
         whole_bytes += ode_codec::to_bytes(&doc).len() as u64;
+        raw_bytes += doc.text.len() as u64;
         let p = txn.pnew(&doc).expect("pnew");
         let mut history = vec![txn.current_version(&p).expect("current")];
         for r in 1..versions {
@@ -100,6 +109,7 @@ fn build(
                 text: body(o, r, body_bytes),
             };
             whole_bytes += ode_codec::to_bytes(&doc).len() as u64;
+            raw_bytes += doc.text.len() as u64;
             txn.put_version(&v, &doc).expect("put_version");
             history.push(v);
         }
@@ -113,6 +123,7 @@ fn build(
         objects: ptrs,
         versions: vids,
         whole_bytes,
+        raw_bytes,
     }
 }
 
@@ -237,7 +248,9 @@ fn main() {
     let whole_latest = latest_ns(&whole, rounds);
     let c16_latest = latest_ns(&chain16, rounds);
     let overhead_pct = (c16_latest - whole_latest) / whole_latest.max(1.0) * 100.0;
-    let ratio16 = stored_bytes(&chain16) as f64 / whole_bytes.max(1) as f64;
+    let chain16_bytes = stored_bytes(&chain16) as f64;
+    let ratio16 = chain16_bytes / whole_bytes.max(1) as f64;
+    let raw_bytes = whole.raw_bytes.max(1) as f64;
 
     println!("{{");
     println!("  \"benchmark\": \"version_delta_storage\",");
@@ -245,11 +258,20 @@ fn main() {
     println!("  \"versions_per_object\": {versions},");
     println!("  \"body_bytes\": {body_bytes},");
     println!("  \"read_rounds\": {rounds},");
+    println!("  \"raw_body_bytes\": {},", whole.raw_bytes);
     println!("  \"whole_copy\": {whole_block},");
     println!("  \"chain_interval_4\": {c4_block},");
     println!("  \"chain_interval_16\": {c16_block},");
     println!("  \"headline\": {{");
     println!("    \"space_ratio_interval_16\": {:.3},", ratio16);
+    println!(
+        "    \"interval_16_vs_raw\": {:.3},",
+        chain16_bytes / raw_bytes
+    );
+    println!(
+        "    \"whole_copy_vs_raw\": {:.3},",
+        whole_bytes as f64 / raw_bytes
+    );
     println!("    \"latest_read_overhead_pct\": {}", json_f(overhead_pct));
     println!("  }}");
     println!("}}");

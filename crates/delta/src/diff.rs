@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use ode_codec::{impl_persist_enum, impl_persist_struct};
+use ode_codec::{impl_persist_struct, DecodeError, Persist, Reader, Writer};
 
 /// Default block size for base indexing.
 pub const DEFAULT_BLOCK: usize = 32;
@@ -30,10 +30,37 @@ pub enum DeltaOp {
     Insert(Vec<u8>),
 }
 
-impl_persist_enum!(DeltaOp {
-    Copy { offset, len },
-    Insert(bytes),
-});
+// Written out rather than derived: the literal bytes are one length
+// prefix plus raw bytes (`put_bytes`), not the generic `Vec<T>` codec's
+// one varint per byte. Discriminants keep the listing order.
+impl Persist for DeltaOp {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            DeltaOp::Copy { offset, len } => {
+                w.put_varint(0);
+                w.put_varint(*offset);
+                w.put_varint(*len);
+            }
+            DeltaOp::Insert(bytes) => {
+                w.put_varint(1);
+                w.put_bytes(bytes);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.get_varint()? {
+            0 => Ok(DeltaOp::Copy {
+                offset: r.get_varint()?,
+                len: r.get_varint()?,
+            }),
+            1 => Ok(DeltaOp::Insert(r.get_bytes()?.to_vec())),
+            discriminant => Err(DecodeError::InvalidDiscriminant {
+                type_name: "DeltaOp",
+                discriminant,
+            }),
+        }
+    }
+}
 
 /// A delta transforming one byte string into another.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,8 +18,15 @@ pub enum StorageError {
         /// The page whose checksum failed.
         page: PageId,
     },
-    /// The database file is not an Ode store (bad magic / version).
+    /// The database file is not an Ode store (bad magic, or a format
+    /// version this build does not know).
     BadMagic,
+    /// The database file is an Ode store in an older on-disk format.
+    /// `odedump migrate <db>` upgrades it offline.
+    FormatTooOld {
+        /// The format version recorded in the file's header.
+        found: u32,
+    },
     /// A page id was outside the allocated file.
     PageOutOfBounds {
         /// The offending page id.
@@ -66,6 +73,12 @@ impl fmt::Display for StorageError {
                 write!(f, "checksum mismatch on page {page}")
             }
             StorageError::BadMagic => write!(f, "not an Ode database file"),
+            StorageError::FormatTooOld { found } => write!(
+                f,
+                "database file is on-disk format {found}, this build reads format {}: \
+                 run `odedump migrate <db>` to upgrade it",
+                crate::store::FORMAT_VERSION
+            ),
             StorageError::PageOutOfBounds { page, page_count } => {
                 write!(f, "page {page} out of bounds ({page_count} pages)")
             }

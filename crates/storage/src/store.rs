@@ -69,8 +69,12 @@ use crate::{Result, StorageError};
 
 /// Magic number identifying an Ode store header page.
 pub const MAGIC: u32 = 0x4F44_4531; // "ODE1"
-/// Current file-format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current file-format version. Format 2 stores the version layer's
+/// byte strings (version bodies, chain anchors, delta literals) as one
+/// length prefix plus raw bytes; format 1 coded each byte as a varint.
+/// [`Store::open`] refuses an older file with
+/// [`StorageError::FormatTooOld`]; `odedump migrate` upgrades it.
+pub const FORMAT_VERSION: u32 = 2;
 /// Number of named root slots in the header.
 pub const ROOT_SLOTS: usize = 16;
 
@@ -597,7 +601,24 @@ impl Store {
     }
 
     /// Open an existing store, running crash recovery from the WAL.
+    ///
+    /// A file in an older format is refused with
+    /// [`StorageError::FormatTooOld`] before recovery writes anything,
+    /// so the refused file (and its WAL) is left byte-identical.
     pub fn open(path: impl AsRef<Path>, options: StoreOptions) -> Result<Store> {
+        Store::open_formats(path, options, FORMAT_VERSION)
+    }
+
+    /// Open a store written in any format from 1 to [`FORMAT_VERSION`],
+    /// for an offline upgrade only: the engine reads pages the same way
+    /// in every format, but the layers above decode records in the
+    /// current format alone. The upgrader rewrites the records and then
+    /// calls [`Tx::stamp_format_version`] in the same transaction.
+    pub fn open_for_upgrade(path: impl AsRef<Path>, options: StoreOptions) -> Result<Store> {
+        Store::open_formats(path, options, 1)
+    }
+
+    fn open_formats(path: impl AsRef<Path>, options: StoreOptions, oldest: u32) -> Result<Store> {
         let db_path = path.as_ref().to_path_buf();
         let wal_path = wal_path_for(&db_path);
         let pager = Pager::open(&db_path)?;
@@ -642,6 +663,24 @@ impl Store {
                 }
             }
         }
+
+        // Validate the header as recovery would leave it, before
+        // anything is written.
+        let header = match recovered.get(&PageId::HEADER.0) {
+            Some(page) => page.clone(),
+            None => pager.read_page(PageId::HEADER)?,
+        };
+        if header.read_u32(hdr::MAGIC) != MAGIC {
+            return Err(StorageError::BadMagic);
+        }
+        match header.read_u32(hdr::FORMAT_VERSION) {
+            found if (oldest..=FORMAT_VERSION).contains(&found) => {}
+            found if (1..FORMAT_VERSION).contains(&found) => {
+                return Err(StorageError::FormatTooOld { found })
+            }
+            _ => return Err(StorageError::BadMagic),
+        }
+
         for (raw_id, mut page) in recovered {
             pager.write_page(PageId(raw_id), &mut page)?;
         }
@@ -650,14 +689,6 @@ impl Store {
         }
         if had_changes || tear.is_some() {
             wal.reset()?;
-        }
-
-        // Validate the header now that recovery has run.
-        let header = pager.read_page(PageId::HEADER)?;
-        if header.read_u32(hdr::MAGIC) != MAGIC
-            || header.read_u32(hdr::FORMAT_VERSION) != FORMAT_VERSION
-        {
-            return Err(StorageError::BadMagic);
         }
 
         Store::assemble(pager, wal, options, db_path)
@@ -688,6 +719,14 @@ impl Store {
             options,
             db_path,
         })
+    }
+
+    /// The on-disk format version recorded in the store header.
+    pub fn format_version(&self) -> Result<u32> {
+        Ok(self
+            .read()
+            .page(PageId::HEADER)?
+            .read_u32(hdr::FORMAT_VERSION))
     }
 
     /// Open `path`, creating a fresh store when the file does not exist.
@@ -1176,6 +1215,15 @@ impl Tx<'_> {
     /// the write mutex.
     pub fn is_optimistic(&self) -> bool {
         self.write.is_none()
+    }
+
+    /// Record [`FORMAT_VERSION`] in the store header. An upgrader
+    /// calls this in the transaction that rewrites the old records, so
+    /// a crash leaves either the old file or the upgraded one.
+    pub fn stamp_format_version(&mut self) -> Result<()> {
+        self.page_mut(PageId::HEADER)?
+            .write_u32(hdr::FORMAT_VERSION, FORMAT_VERSION);
+        Ok(())
     }
 
     /// Move the conflict-free window forward to `now`, checking every
@@ -1778,6 +1826,49 @@ mod tests {
         }
         drop(r);
         drop(store);
+        cleanup(&path);
+    }
+
+    /// Rewrite the header's format version in the file, as an older
+    /// (or newer) build would have left it.
+    fn set_file_format(path: &Path, version: u32) {
+        let pager = Pager::open(path).unwrap();
+        let mut header = pager.read_page(PageId::HEADER).unwrap();
+        header.write_u32(hdr::FORMAT_VERSION, version);
+        pager.write_page(PageId::HEADER, &mut header).unwrap();
+        pager.sync().unwrap();
+    }
+
+    #[test]
+    fn open_checks_the_format_version_as_recovery_would_leave_it() {
+        let path = temp_db("format");
+        drop(Store::create(&path, StoreOptions::default()).unwrap());
+        set_file_format(&path, 1);
+        let before = std::fs::read(&path).unwrap();
+        assert!(matches!(
+            Store::open(&path, StoreOptions::default()),
+            Err(StorageError::FormatTooOld { found: 1 })
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+
+        // An upgrade committed to the WAL but never checkpointed: the
+        // file still says 1, recovery makes it 2.
+        let store = Store::open_for_upgrade(&path, StoreOptions::default()).unwrap();
+        assert_eq!(store.format_version().unwrap(), 1);
+        let mut tx = store.begin();
+        tx.stamp_format_version().unwrap();
+        tx.commit().unwrap();
+        std::mem::forget(store); // crash: no checkpoint
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        assert_eq!(store.format_version().unwrap(), FORMAT_VERSION);
+        drop(store);
+
+        set_file_format(&path, FORMAT_VERSION + 1);
+        assert!(matches!(
+            Store::open_for_upgrade(&path, StoreOptions::default()),
+            Err(StorageError::BadMagic)
+        ));
         cleanup(&path);
     }
 

@@ -8,6 +8,7 @@
 //! odedump dot     <db> <oid>    Graphviz export of a version graph
 //! odedump wal     <db>          decode WAL records (offsets, epochs)
 //! odedump fsck    <db>          consistency check
+//! odedump migrate <db>          upgrade an older-format store in place
 //! ```
 
 use std::path::PathBuf;
@@ -23,7 +24,8 @@ fn usage() -> ExitCode {
          \x20 chains  <db>          per-object delta-chain statistics\n\
          \x20 dot     <db> <oid>    Graphviz export of a version graph\n\
          \x20 wal     <db>          decode WAL records (offsets, epochs) + summary\n\
-         \x20 fsck    <db>          consistency check"
+         \x20 fsck    <db>          consistency check\n\
+         \x20 migrate <db>          upgrade an older-format store in place"
     );
     ExitCode::from(2)
 }
@@ -42,6 +44,7 @@ fn main() -> ExitCode {
 
     let outcome = match command {
         "info" => ode_tools::store_info(&db).map(|info| {
+            println!("format     : {}", info.format_version);
             println!("pages      : {}", info.page_count);
             for (kind, count) in &info.pages_by_kind {
                 let name = match kind {
@@ -185,6 +188,22 @@ fn main() -> ExitCode {
                 for p in &report.problems {
                     println!("PROBLEM: {p}");
                 }
+            }
+        }),
+        "migrate" => ode_tools::migrate(&db).map(|r| {
+            if r.was_current() {
+                println!("already format {}: nothing to do", r.to_format);
+            } else {
+                println!(
+                    "migrated format {} -> {}: {} version and {} chain records, \
+                     {} -> {} bytes",
+                    r.from_format,
+                    r.to_format,
+                    r.version_records,
+                    r.chain_records,
+                    r.bytes_before,
+                    r.bytes_after
+                );
             }
         }),
         _ => return usage(),

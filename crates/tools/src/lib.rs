@@ -7,7 +7,8 @@
 //!
 //! Everything here opens stores read-mostly and never mutates user
 //! data; `fsck` runs recovery as a side effect of opening (as any
-//! reader would).
+//! reader would). The one writer is [`migrate`], the offline upgrade
+//! of an older-format store to the current on-disk format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,12 +21,17 @@ use ode_object::Oid;
 use ode_storage::{PageId, PageRead, Store, StoreOptions, StoreStats};
 use ode_version::{version_graph_dot, VersionStore, VersionStoreLayout};
 
+mod migrate;
+pub use migrate::{migrate, migrate_store, MigrationReport};
+
 /// Result alias reusing the version layer's error.
 pub type Result<T> = ode_version::Result<T>;
 
 /// Summary of a database file's physical layout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreInfo {
+    /// On-disk format version recorded in the store header.
+    pub format_version: u32,
     /// Total pages tracked by the store header.
     pub page_count: u64,
     /// Pages by kind (unreadable pages counted under `None`).
@@ -172,6 +178,7 @@ pub fn store_info(path: &Path) -> Result<StoreInfo> {
     }
     drop(tx);
     Ok(StoreInfo {
+        format_version: store.format_version()?,
         page_count,
         pages_by_kind,
         wal_bytes,

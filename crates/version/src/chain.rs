@@ -25,7 +25,7 @@
 //! allocation order, so `entries` is sorted by vid and membership is a
 //! binary search.
 
-use ode_codec::{impl_persist_enum, impl_persist_struct};
+use ode_codec::{impl_persist_struct, DecodeError, Persist, Reader, Writer};
 use ode_delta::{apply, diff_with_block, Delta, DEFAULT_BLOCK};
 use ode_object::Vid;
 
@@ -76,7 +76,32 @@ pub enum ChainLink {
     Delta(Delta),
 }
 
-impl_persist_enum!(ChainLink { Anchor(a0), Delta(d0) });
+// Written out rather than derived so an anchor is one length prefix
+// plus raw bytes (format 2), not one varint per byte.
+impl Persist for ChainLink {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            ChainLink::Anchor(state) => {
+                w.put_varint(0);
+                w.put_bytes(state);
+            }
+            ChainLink::Delta(delta) => {
+                w.put_varint(1);
+                delta.encode(w);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
+        match r.get_varint()? {
+            0 => Ok(ChainLink::Anchor(r.get_bytes()?.to_vec())),
+            1 => Ok(ChainLink::Delta(Delta::decode(r)?)),
+            discriminant => Err(DecodeError::InvalidDiscriminant {
+                type_name: "ChainLink",
+                discriminant,
+            }),
+        }
+    }
+}
 
 /// One version's slot in an [`ObjectChain`].
 #[derive(Debug, Clone, PartialEq, Eq)]

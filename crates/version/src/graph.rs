@@ -1,6 +1,6 @@
 //! The version graph engine: create, derive, update, delete, traverse.
 
-use ode_codec::TypeTag;
+use ode_codec::{Persist, TypeTag};
 use ode_object::{Extents, IdAllocator, KvTable, ObjectHeap, Oid, Vid};
 use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
@@ -145,36 +145,38 @@ impl VersionStore {
         Ok(self.heap.load(tx, RecordId::from_u64(rid))?)
     }
 
-    fn save_object(&self, tx: &mut impl PageWrite, meta: &ObjectMeta) -> Result<()> {
-        match self.obj_table.get(tx, meta.oid.0)? {
+    /// Store `value` as `key`'s record: replace it in place (re-pointing
+    /// `table` when the heap moves it) or insert it.
+    fn save_record<T: Persist>(
+        &self,
+        tx: &mut impl PageWrite,
+        table: KvTable,
+        key: u64,
+        value: &T,
+    ) -> Result<()> {
+        #[cfg(test)]
+        tests::RECORD_WRITES.with(|n| n.set(n.get() + 1));
+        match table.get(tx, key)? {
             Some(rid) => {
-                let new_rid = self.heap.replace(tx, RecordId::from_u64(rid), meta)?;
+                let new_rid = self.heap.replace(tx, RecordId::from_u64(rid), value)?;
                 if new_rid.to_u64() != rid {
-                    self.obj_table.put(tx, meta.oid.0, new_rid.to_u64())?;
+                    table.put(tx, key, new_rid.to_u64())?;
                 }
             }
             None => {
-                let rid = self.heap.store(tx, meta)?;
-                self.obj_table.put(tx, meta.oid.0, rid.to_u64())?;
+                let rid = self.heap.store(tx, value)?;
+                table.put(tx, key, rid.to_u64())?;
             }
         }
         Ok(())
     }
 
+    fn save_object(&self, tx: &mut impl PageWrite, meta: &ObjectMeta) -> Result<()> {
+        self.save_record(tx, self.obj_table, meta.oid.0, meta)
+    }
+
     fn save_version(&self, tx: &mut impl PageWrite, meta: &VersionMeta) -> Result<()> {
-        match self.ver_table.get(tx, meta.vid.0)? {
-            Some(rid) => {
-                let new_rid = self.heap.replace(tx, RecordId::from_u64(rid), meta)?;
-                if new_rid.to_u64() != rid {
-                    self.ver_table.put(tx, meta.vid.0, new_rid.to_u64())?;
-                }
-            }
-            None => {
-                let rid = self.heap.store(tx, meta)?;
-                self.ver_table.put(tx, meta.vid.0, rid.to_u64())?;
-            }
-        }
-        Ok(())
+        self.save_record(tx, self.ver_table, meta.vid.0, meta)
     }
 
     fn drop_version_record(&self, tx: &mut impl PageWrite, vid: Vid) -> Result<()> {
@@ -193,19 +195,7 @@ impl VersionStore {
     }
 
     fn save_chain(&self, tx: &mut impl PageWrite, oid: Oid, chain: &ObjectChain) -> Result<()> {
-        match self.chain_table.get(tx, oid.0)? {
-            Some(rid) => {
-                let new_rid = self.heap.replace(tx, RecordId::from_u64(rid), chain)?;
-                if new_rid.to_u64() != rid {
-                    self.chain_table.put(tx, oid.0, new_rid.to_u64())?;
-                }
-            }
-            None => {
-                let rid = self.heap.store(tx, chain)?;
-                self.chain_table.put(tx, oid.0, rid.to_u64())?;
-            }
-        }
-        Ok(())
+        self.save_record(tx, self.chain_table, oid.0, chain)
     }
 
     fn drop_chain(&self, tx: &mut impl PageWrite, oid: Oid) -> Result<()> {
@@ -306,8 +296,7 @@ impl VersionStore {
         };
 
         base_meta.dnext.push(vid);
-        self.save_version(tx, &base_meta)?;
-        self.check_in(tx, &mut object, &mut chain, &version)?;
+        self.check_in(tx, &mut object, &mut chain, vec![base_meta], &version)?;
         Ok(vid)
     }
 
@@ -349,25 +338,32 @@ impl VersionStore {
 
         a_meta.dnext.push(vid);
         b_meta.dnext.push(vid);
-        self.save_version(tx, &a_meta)?;
-        self.save_version(tx, &b_meta)?;
-        self.check_in(tx, &mut object, &mut chain, &version)?;
+        self.check_in(tx, &mut object, &mut chain, vec![a_meta, b_meta], &version)?;
         Ok(vid)
     }
 
     /// Append a fully-formed new version at the object's temporal tail
-    /// and make it the latest. Expects the parents' `dnext` lists to be
-    /// updated and saved already; reloads the temporal tail afterwards
-    /// (it may *be* a parent whose saved record now carries the new
-    /// `dnext` entry).
+    /// and make it the latest. `parents` are the new version's parent
+    /// records with their `dnext` lists updated but not yet saved. When
+    /// one of them is the temporal tail — every plain check-in derives
+    /// from the latest — that record is updated in place and written
+    /// once; otherwise the tail is loaded.
     fn check_in(
         &self,
         tx: &mut impl PageWrite,
         object: &mut ObjectMeta,
         chain: &mut Option<ObjectChain>,
+        mut parents: Vec<VersionMeta>,
         version: &VersionMeta,
     ) -> Result<()> {
-        let mut tail = self.version_meta(tx, object.latest)?;
+        let tail = match parents.iter().position(|m| m.vid == object.latest) {
+            Some(i) => i,
+            None => {
+                parents.push(self.version_meta(tx, object.latest)?);
+                parents.len() - 1
+            }
+        };
+        let tail = &mut parents[tail];
         tail.tnext = version.vid;
         if chain.is_some() || self.chain.is_some() {
             // Chain storage: the outgoing latest surrenders its whole
@@ -393,8 +389,9 @@ impl VersionStore {
             };
             c.append(version.vid, &prev_state, &version.body);
         }
-        self.save_version(tx, &tail)?;
-
+        for meta in &parents {
+            self.save_version(tx, meta)?;
+        }
         self.save_version(tx, version)?;
         if let Some(c) = chain.as_ref() {
             self.save_chain(tx, object.oid, c)?;
@@ -1144,5 +1141,63 @@ impl VersionStore {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use ode_storage::{Store, StoreOptions};
+
+    use super::*;
+
+    thread_local! {
+        /// Heap record writes (`save_record` calls) on this thread.
+        pub(super) static RECORD_WRITES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    const TAG: TypeTag = TypeTag::from_name("graph-test/Doc");
+
+    fn record_writes(f: impl FnOnce()) -> u64 {
+        let before = RECORD_WRITES.with(Cell::get);
+        f();
+        RECORD_WRITES.with(Cell::get) - before
+    }
+
+    /// A check-in writes each record it changes once: the outgoing
+    /// tail (here also the base), the new version, the object and —
+    /// when chained — the chain. A fork from an older version adds only
+    /// the base's own record.
+    #[test]
+    fn a_check_in_writes_each_changed_record_once() {
+        for (chained, extra) in [(false, 0), (true, 1)] {
+            let path = std::env::temp_dir()
+                .join(format!("ode-graph-writes-{chained}-{}", std::process::id()));
+            let store = Store::create(&path, StoreOptions::default()).unwrap();
+            let vs = if chained {
+                VersionStore::with_chain(VersionStoreLayout::default(), ChainConfig::default())
+            } else {
+                VersionStore::new(VersionStoreLayout::default())
+            };
+            let mut tx = store.begin();
+            let (oid, v0) = vs.create_object(&mut tx, TAG, b"state-0".to_vec()).unwrap();
+            vs.new_version_of(&mut tx, oid).unwrap();
+            let plain = record_writes(|| {
+                vs.new_version_of(&mut tx, oid).unwrap();
+            });
+            assert_eq!(plain, 3 + extra, "plain check-in (chained: {chained})");
+            let fork = record_writes(|| {
+                vs.new_version_from(&mut tx, v0).unwrap();
+            });
+            assert_eq!(fork, 4 + extra, "fork check-in (chained: {chained})");
+            vs.check_object(&mut tx, oid).unwrap();
+            tx.commit().unwrap();
+            drop(store);
+            let _ = std::fs::remove_file(&path);
+            let mut wal = path.into_os_string();
+            wal.push(".wal");
+            let _ = std::fs::remove_file(wal);
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! On-disk records of the version graph.
 
-use ode_codec::{impl_persist_struct, TypeTag};
+use ode_codec::{impl_persist_struct, DecodeError, Persist, Reader, TypeTag, Writer};
 use ode_object::{Oid, Vid};
 
 /// Per-object record: identity, type, and the ends of the temporal chain.
@@ -62,18 +62,37 @@ pub struct VersionMeta {
     pub body: Vec<u8>,
 }
 
-impl_persist_struct!(VersionMeta {
-    vid,
-    oid,
-    tag,
-    dprev,
-    dprev2,
-    dnext,
-    tprev,
-    tnext,
-    created,
-    body,
-});
+// Written out rather than derived so `body` is one length prefix plus
+// raw bytes (format 2) instead of one varint per byte; every other
+// field encodes exactly as the derive would.
+impl Persist for VersionMeta {
+    fn encode(&self, w: &mut Writer) {
+        self.vid.encode(w);
+        self.oid.encode(w);
+        self.tag.encode(w);
+        self.dprev.encode(w);
+        self.dprev2.encode(w);
+        self.dnext.encode(w);
+        self.tprev.encode(w);
+        self.tnext.encode(w);
+        self.created.encode(w);
+        w.put_bytes(&self.body);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(VersionMeta {
+            vid: Persist::decode(r)?,
+            oid: Persist::decode(r)?,
+            tag: Persist::decode(r)?,
+            dprev: Persist::decode(r)?,
+            dprev2: Persist::decode(r)?,
+            dnext: Persist::decode(r)?,
+            tprev: Persist::decode(r)?,
+            tnext: Persist::decode(r)?,
+            created: Persist::decode(r)?,
+            body: r.get_bytes()?.to_vec(),
+        })
+    }
+}
 
 impl VersionMeta {
     /// Whether this version is a leaf of the derived-from tree (an
