@@ -25,6 +25,12 @@
 //!   cold (every vid read once: true materialization cost, at most
 //!   `interval − 1` delta applications) and warm (second pass served by
 //!   the materialization cache), with the cache's hit/miss counters.
+//! - **history curve** — check-in p50 and cold historical-read p50 as
+//!   one store's histories grow through 16, 256, 1024 and 4096 versions
+//!   per object (interval 16, 2 KiB bodies, fsync off). A segmented
+//!   chain keeps both flat: a check-in touches the tail segment, a read
+//!   one segment. The CI gate holds the history-4096 values to at most
+//!   1.5× the history-16 values.
 
 use std::time::Instant;
 
@@ -179,6 +185,159 @@ fn historical_ns(b: &Built) -> f64 {
     start.elapsed().as_nanos() as f64 / reads as f64
 }
 
+/// Objects in each history-curve store.
+const CURVE_OBJECTS: usize = 4;
+/// Versions per object in the history-curve stores.
+const CURVE_HISTORY: [usize; 4] = [16, 256, 1024, 4096];
+/// Measurement rounds, taken across all curve stores in turn so that
+/// a burst of machine noise lands on every point alike.
+const CURVE_ROUNDS: usize = 16;
+/// Timed check-ins, and timed cold historical reads, per object per
+/// round.
+const CURVE_PER_OBJECT: usize = 3;
+/// Buffer-pool pages for a curve store: enough to hold the history-4096
+/// store whole (about 3,100 pages), so the curve measures the chain
+/// layout and not pool misses.
+const CURVE_POOL_PAGES: usize = 8192;
+
+/// One history-curve store: [`CURVE_OBJECTS`] chained objects (interval
+/// 16, 2 KiB bodies, fsync off) grown to a given history length.
+struct CurveStore {
+    _scratch: Scratch,
+    db: Database,
+    objects: Vec<ObjPtr<Doc>>,
+    /// Next revision number per object.
+    revs: Vec<usize>,
+}
+
+impl CurveStore {
+    fn build(history: usize) -> CurveStore {
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "ode-version-bench-curve{history}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let scratch = Scratch(path.clone());
+        let mut options = DatabaseOptions::no_sync().with_chain(ChainConfig::with_interval(16));
+        options.storage.buffer_pages = CURVE_POOL_PAGES;
+        let db = Database::create(&path, options).expect("create curve db");
+        let mut objects = Vec::with_capacity(CURVE_OBJECTS);
+        for o in 0..CURVE_OBJECTS {
+            let mut txn = db.begin();
+            let p = txn
+                .pnew(&Doc {
+                    rev: 0,
+                    text: body(o, 0, 2048),
+                })
+                .expect("pnew");
+            txn.commit().expect("commit");
+            // 64 check-ins to a transaction.
+            for chunk in (1..history).collect::<Vec<_>>().chunks(64) {
+                let mut txn = db.begin();
+                for &r in chunk {
+                    let v = txn.newversion(&p).expect("newversion");
+                    let doc = Doc {
+                        rev: r as u64,
+                        text: body(o, r, 2048),
+                    };
+                    txn.put_version(&v, &doc).expect("put_version");
+                }
+                txn.commit().expect("commit");
+            }
+            objects.push(p);
+        }
+        CurveStore {
+            _scratch: scratch,
+            db,
+            objects,
+            revs: vec![history; CURVE_OBJECTS],
+        }
+    }
+
+    /// One round: cold reads of distinct historical vids spread over
+    /// every object's history (the latest excluded; the last commit
+    /// emptied the materialization cache, and no vid repeats before the
+    /// next one), then single-version check-ins, each in its own
+    /// transaction. Appends microseconds per operation.
+    fn round(&mut self, round: usize, checkins: &mut Vec<f64>, reads: &mut Vec<f64>) {
+        let mut snap = self.db.snapshot();
+        let histories: Vec<Vec<VersionPtr<Doc>>> = self
+            .objects
+            .iter()
+            .map(|p| snap.version_history(p).expect("history"))
+            .collect();
+        drop(snap);
+        for h in &histories {
+            let n = h.len() - 1;
+            for k in 0..CURVE_PER_OBJECT {
+                let v = &h[(k * n / CURVE_PER_OBJECT + round * 7) % n];
+                let start = Instant::now();
+                let doc = self.db.snapshot().deref_v(v).expect("deref_v");
+                reads.push(start.elapsed().as_secs_f64() * 1e6);
+                assert!(!doc.text.is_empty());
+            }
+        }
+        for _ in 0..CURVE_PER_OBJECT {
+            for (o, p) in self.objects.iter().enumerate() {
+                let doc = Doc {
+                    rev: self.revs[o] as u64,
+                    text: body(o, self.revs[o], 2048),
+                };
+                let start = Instant::now();
+                let mut txn = self.db.begin();
+                let v = txn.newversion(p).expect("newversion");
+                txn.put_version(&v, &doc).expect("put_version");
+                txn.commit().expect("commit");
+                checkins.push(start.elapsed().as_secs_f64() * 1e6);
+                self.revs[o] += 1;
+            }
+        }
+    }
+}
+
+fn p50_us(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// The history curve: check-in p50 and cold historical-read p50 on one
+/// store per [`CURVE_HISTORY`] length. Returns the JSON section.
+fn history_curve() -> String {
+    let mut stores: Vec<CurveStore> = CURVE_HISTORY.into_iter().map(CurveStore::build).collect();
+    let mut samples = vec![(Vec::new(), Vec::new()); stores.len()];
+    for round in 0..CURVE_ROUNDS {
+        for (store, (checkins, reads)) in stores.iter_mut().zip(&mut samples) {
+            store.round(round, checkins, reads);
+        }
+    }
+    let points: Vec<(usize, f64, f64)> = CURVE_HISTORY
+        .into_iter()
+        .zip(samples)
+        .map(|(h, (c, r))| (h, p50_us(c), p50_us(r)))
+        .collect();
+    let (first, last) = (points[0], points[points.len() - 1]);
+    let rows: Vec<String> = points
+        .iter()
+        .map(|(h, c, r)| {
+            format!(
+                "{{\"history\": {h}, \"checkin_p50_us\": {}, \"hist_read_p50_us\": {}}}",
+                json_f(*c),
+                json_f(*r)
+            )
+        })
+        .collect();
+    format!(
+        "{{\"objects\": {CURVE_OBJECTS}, \"interval\": 16, \"body_bytes\": 2048, \
+         \"samples_per_point\": {}, \"points\": [{}], \
+         \"checkin_ratio_4096_vs_16\": {:.3}, \"hist_read_ratio_4096_vs_16\": {:.3}}}",
+        CURVE_ROUNDS * CURVE_PER_OBJECT * CURVE_OBJECTS,
+        rows.join(", "),
+        last.1 / first.1,
+        last.2 / first.2
+    )
+}
+
 fn json_f(v: f64) -> String {
     format!("{:.1}", v)
 }
@@ -273,6 +432,7 @@ fn main() {
         whole_bytes as f64 / raw_bytes
     );
     println!("    \"latest_read_overhead_pct\": {}", json_f(overhead_pct));
-    println!("  }}");
+    println!("  }},");
+    println!("  \"history_curve\": {}", history_curve());
     println!("}}");
 }

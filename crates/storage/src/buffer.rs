@@ -194,10 +194,19 @@ impl BufferPool {
                 self.resident.fetch_add(1, Ordering::Relaxed);
             }
         }
-        if !dirty {
-            // Clean publishes (recovery installs) may push a shard over
-            // its share; reclaim clean LRU frames.
-            self.evict_from(&mut shard);
+        // Any publish may push a shard over its share: reclaim clean
+        // LRU frames, so the pool outgrows its target only when every
+        // frame is dirty.
+        self.evict_from(&mut shard);
+    }
+
+    /// Evict clean LRU frames from every shard down to its share. A
+    /// checkpoint calls this once it has cleaned every frame, so a pool
+    /// that grew while all its frames were dirty shrinks back instead
+    /// of staying over target (which would checkpoint every commit).
+    pub fn trim(&self) {
+        for shard in &self.shards {
+            self.evict_from(&mut shard.write());
         }
     }
 

@@ -33,6 +33,16 @@ mod dir {
     pub const FIRST: usize = PAGE_HEADER_LEN;
     pub const HINT: usize = PAGE_HEADER_LEN + 8;
     pub const RECORD_COUNT: usize = PAGE_HEADER_LEN + 16;
+    /// Next slot of the spare ring to overwrite.
+    pub const SPARE_NEXT: usize = PAGE_HEADER_LEN + 24;
+    /// Ring of earlier hint pages: pages that had half their space
+    /// reclaimed, remembered after a newer page took over the hint.
+    pub const SPARE: usize = PAGE_HEADER_LEN + 32;
+    pub const SPARE_SLOTS: usize = 32;
+
+    pub fn spare(i: usize) -> usize {
+        SPARE + 8 * i
+    }
 }
 
 const TAG_INLINE: u8 = 0x00;
@@ -195,7 +205,7 @@ impl Heap {
         if existed {
             // Pages with reclaimed space become the insert hint.
             if slotted::free_space(tx.page(rid.page)?) > PAGE_SIZE / 2 {
-                tx.page_mut(self.dir)?.write_u64(dir::HINT, rid.page.0);
+                self.set_hint(tx, rid.page)?;
             }
             self.bump_count(tx, -1)?;
         }
@@ -269,11 +279,49 @@ impl Heap {
         Ok(())
     }
 
-    /// Find (or allocate) a data page that can hold a cell of `len` bytes.
+    /// Make `page` the insert hint. The outgoing hint moves to the
+    /// spare ring: even when full now, its records may shrink in place
+    /// (which never writes the directory), and the ring is where that
+    /// space is found again.
+    fn set_hint(&self, tx: &mut impl PageWrite, page: PageId) -> Result<()> {
+        let old = PageId(tx.page(self.dir)?.read_u64(dir::HINT));
+        if !old.is_null() && old != page {
+            let dir_page = tx.page(self.dir)?;
+            let known = (0..dir::SPARE_SLOTS).any(|i| dir_page.read_u64(dir::spare(i)) == old.0);
+            let next = dir_page.read_u64(dir::SPARE_NEXT) as usize % dir::SPARE_SLOTS;
+            if !known {
+                let dir_page = tx.page_mut(self.dir)?;
+                dir_page.write_u64(dir::spare(next), old.0);
+                dir_page.write_u64(dir::SPARE_NEXT, ((next + 1) % dir::SPARE_SLOTS) as u64);
+            }
+        }
+        tx.page_mut(self.dir)?.write_u64(dir::HINT, page.0);
+        Ok(())
+    }
+
+    /// Find (or allocate) a data page that can hold a cell of `len` bytes:
+    /// the hint, else a spare-ring page (which then swaps places with
+    /// the hint), else the chain head, else a fresh page.
     fn page_for_insert(&self, tx: &mut impl PageWrite, len: usize) -> Result<PageId> {
         let hint = PageId(tx.page(self.dir)?.read_u64(dir::HINT));
         if !hint.is_null() && slotted::can_insert(tx.page(hint)?, len) {
             return Ok(hint);
+        }
+        for i in 0..dir::SPARE_SLOTS {
+            let spare = PageId(tx.page(self.dir)?.read_u64(dir::spare(i)));
+            if spare.is_null() {
+                continue;
+            }
+            let fits = {
+                let page = tx.page(spare)?;
+                page.kind() == Some(PageKind::Heap) && slotted::can_insert(page, len)
+            };
+            if fits {
+                let dir_page = tx.page_mut(self.dir)?;
+                dir_page.write_u64(dir::spare(i), hint.0);
+                dir_page.write_u64(dir::HINT, spare.0);
+                return Ok(spare);
+            }
         }
         let first = PageId(tx.page(self.dir)?.read_u64(dir::FIRST));
         if !first.is_null() && slotted::can_insert(tx.page(first)?, len) {
@@ -286,9 +334,8 @@ impl Heap {
             slotted::init(page);
             page.set_link(first);
         }
-        let dir_page = tx.page_mut(self.dir)?;
-        dir_page.write_u64(dir::FIRST, new_id.0);
-        dir_page.write_u64(dir::HINT, new_id.0);
+        tx.page_mut(self.dir)?.write_u64(dir::FIRST, new_id.0);
+        self.set_hint(tx, new_id)?;
         Ok(new_id)
     }
 

@@ -62,19 +62,20 @@ use crate::gate::SnapshotGate;
 use crate::page::{PageBuf, PageId, PageKind, PAGE_SIZE};
 use crate::pager::Pager;
 use crate::wal::{
-    committed_changes, delta_payload_len, page_diff_ops, CommittedChange, FrameScanner, Wal,
-    WalRecord, WalSyncHandle,
+    committed_changes, delta_payload_len, frame_records, page_diff_ops, CommittedChange,
+    FrameScanner, Wal, WalRecord, WalSyncHandle,
 };
 use crate::{Result, StorageError};
 
 /// Magic number identifying an Ode store header page.
 pub const MAGIC: u32 = 0x4F44_4531; // "ODE1"
-/// Current file-format version. Format 2 stores the version layer's
-/// byte strings (version bodies, chain anchors, delta literals) as one
-/// length prefix plus raw bytes; format 1 coded each byte as a varint.
-/// [`Store::open`] refuses an older file with
+/// Current file-format version. Format 3 stores each object's delta
+/// chain as one heap record per anchor segment behind a small head
+/// record; format 2 kept the whole chain in one record, and format 1
+/// also coded each byte of the version layer's byte strings as a
+/// varint. A file in an older format is refused with
 /// [`StorageError::FormatTooOld`]; `odedump migrate` upgrades it.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Number of named root slots in the header.
 pub const ROOT_SLOTS: usize = 16;
 
@@ -854,6 +855,7 @@ impl Store {
 
     fn checkpoint_locked(&self, ws: &mut WriteState) -> Result<()> {
         self.pool.flush_all(&self.pager)?;
+        self.pool.trim();
         self.pager.sync()?;
         ws.wal.reset()?;
         ws.base_pos = ws.logical_pos;
@@ -1367,12 +1369,12 @@ impl Tx<'_> {
             // snapshot as of `validated_epoch`. Nothing to publish.
             return Ok(());
         }
-        // Build the log records outside the critical section (no-op
-        // cost for exclusive mode, which holds the mutex anyway).
-        let records = if self.order.is_empty() {
+        // Build and frame the log records outside the critical section
+        // (no-op cost for exclusive mode, which holds the mutex anyway).
+        let batch = if self.order.is_empty() {
             Vec::new()
         } else {
-            self.wal_records()
+            frame_records(&self.wal_records())
         };
         let mut ws = match self.write.take() {
             Some(guard) => guard,
@@ -1388,11 +1390,9 @@ impl Tx<'_> {
         }
         let mut group_target = None;
         if !self.order.is_empty() {
-            let wal_start = ws.wal.len();
-            for record in &records {
-                ws.wal.append(record)?;
-            }
-            ws.logical_pos += ws.wal.len() - wal_start;
+            // The whole transaction lands with one positioned write.
+            ws.wal.append_raw(&batch)?;
+            ws.logical_pos += batch.len() as u64;
             ws.commit_seq += 1;
 
             let grouped = store.options.sync_on_commit && store.options.group_commit;

@@ -15,7 +15,8 @@
 //! simply never applied.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use ode_codec::{from_bytes, impl_persist_enum, to_bytes};
@@ -67,6 +68,21 @@ impl_persist_enum!(WalRecord {
     PageDelta { tx, page, ops },
 });
 
+/// Frame `records` back to back, `[u32 len][u32 crc32][payload]` each:
+/// byte for byte what appending them one at a time lays down. A commit
+/// frames its whole transaction this way (outside the store's write
+/// lock) and lands it with one [`Wal::append_raw`].
+pub fn frame_records(records: &[WalRecord]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for record in records {
+        let payload = to_bytes(record);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+    }
+    out
+}
+
 /// Append-only log writer/reader over a single file.
 pub struct Wal {
     file: File,
@@ -100,26 +116,18 @@ impl Wal {
 
     /// Append one record (not yet durable; call [`Wal::sync`]).
     pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let payload = to_bytes(record);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.seek(SeekFrom::Start(self.write_pos))?;
-        self.file.write_all(&frame)?;
-        self.write_pos += frame.len() as u64;
-        Ok(())
+        self.append_raw(&frame_records(std::slice::from_ref(record)))
     }
 
-    /// Append raw, already-framed log bytes (replication apply path: a
-    /// replica receives byte-exact spans of the primary's log and lands
-    /// them verbatim, so both logs agree on every frame boundary and
-    /// physical position). The bytes are not validated here — the
-    /// receiver parses them with a [`FrameScanner`] before trusting
+    /// Append raw, already-framed log bytes with one positioned write:
+    /// a commit's batch from [`frame_records`], or, on the replication
+    /// apply path, byte-exact spans of the primary's log landed
+    /// verbatim, so both logs agree on every frame boundary and
+    /// physical position. The bytes are not validated here — a
+    /// replica parses them with a [`FrameScanner`] before trusting
     /// their contents.
     pub fn append_raw(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.write_pos))?;
-        self.file.write_all(bytes)?;
+        self.file.write_all_at(bytes, self.write_pos)?;
         self.write_pos += bytes.len() as u64;
         Ok(())
     }
@@ -379,6 +387,7 @@ pub fn delta_payload_len(ops: &[(u32, Vec<u8>)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -416,6 +425,66 @@ mod tests {
         assert_eq!(records, sample_records());
         assert_eq!(tear, None);
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// A commit's records framed into one batch land exactly the bytes
+    /// of appending them one by one, and a crash anywhere inside the
+    /// batch (the log cut at any byte of it) replays to the previous
+    /// commit.
+    #[test]
+    fn batched_append_matches_per_record_and_tears_to_the_previous_commit() {
+        let tx = |id: u64, page: u64| {
+            vec![
+                WalRecord::Begin { tx: id },
+                WalRecord::Page {
+                    tx: id,
+                    page,
+                    image: vec![id as u8; 300],
+                },
+                WalRecord::PageDelta {
+                    tx: id,
+                    page: page + 1,
+                    ops: vec![(8, vec![7; 40]), (900, vec![1, 2, 3])],
+                },
+                WalRecord::Commit { tx: id },
+            ]
+        };
+        let one_by_one = temp_path("batch-single");
+        let batched = temp_path("batch-batched");
+        let mut single = Wal::open(&one_by_one).unwrap();
+        let mut batch = Wal::open(&batched).unwrap();
+        for r in tx(1, 3).iter().chain(&tx(2, 5)) {
+            single.append(r).unwrap();
+        }
+        batch.append_raw(&frame_records(&tx(1, 3))).unwrap();
+        let first_commit = batch.len();
+        batch.append_raw(&frame_records(&tx(2, 5))).unwrap();
+        assert_eq!(batch.len(), single.len());
+        let bytes = std::fs::read(&batched).unwrap();
+        assert_eq!(bytes, std::fs::read(&one_by_one).unwrap());
+
+        let committed = |records: &[WalRecord]| -> Vec<u64> {
+            records
+                .iter()
+                .filter_map(|r| match r {
+                    WalRecord::Commit { tx } => Some(*tx),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (all, tear) = batch.records().unwrap();
+        assert_eq!((committed(&all), tear), (vec![1, 2], None));
+        for cut in first_commit..bytes.len() as u64 {
+            let path = temp_path("batch-cut");
+            std::fs::write(&path, &bytes[..cut as usize]).unwrap();
+            let mut wal = Wal::open(&path).unwrap();
+            let (records, _) = wal.records().unwrap();
+            assert_eq!(committed(&records), vec![1], "cut at byte {cut}");
+            assert_eq!(committed_changes(&records).len(), 2, "cut at byte {cut}");
+            std::fs::remove_file(path).unwrap();
+        }
+        std::fs::remove_file(one_by_one).unwrap();
+        std::fs::remove_file(batched).unwrap();
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl_persist_struct!(Doc { rev, text });
 /// Deterministic body bytes: a seeded run over the whole byte range,
 /// with a revision marker spliced in so consecutive revisions differ in
 /// a few places only.
-fn body(seed: u64, rev: u32, len: usize) -> Vec<u8> {
+pub fn body(seed: u64, rev: u32, len: usize) -> Vec<u8> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut text: Vec<u8> = (0..len)
         .map(|_| {
@@ -65,7 +65,8 @@ fn body(seed: u64, rev: u32, len: usize) -> Vec<u8> {
     to_bytes(&Doc { rev, text })
 }
 
-fn options(chain: bool) -> DatabaseOptions {
+/// Store options: whole-body, or chains at anchor interval 4.
+pub fn options(chain: bool) -> DatabaseOptions {
     let options = DatabaseOptions::default();
     if chain {
         options.with_chain(ChainConfig::with_interval(4))
@@ -76,7 +77,7 @@ fn options(chain: bool) -> DatabaseOptions {
 
 /// Check in `count` successive revisions of `oid`, each derived from
 /// the latest.
-fn check_in(db: &Database, oid: Oid, seed: u64, first_rev: u32, count: u32, len: usize) {
+pub fn check_in(db: &Database, oid: Oid, seed: u64, first_rev: u32, count: u32, len: usize) {
     for rev in first_rev..first_rev + count {
         let mut txn = db.begin();
         let vid = txn.newversion_raw(oid).expect("newversion");

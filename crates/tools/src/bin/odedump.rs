@@ -106,8 +106,9 @@ fn main() -> ExitCode {
                 return;
             }
             println!(
-                "{:<8} {:>8} {:>7} {:>6} {:>6} {:>8} {:>11} {:>12} {:>6}",
+                "{:<8} {:>8} {:>8} {:>7} {:>6} {:>6} {:>8} {:>11} {:>12} {:>6}",
                 "oid",
+                "versions",
                 "segments",
                 "anchors",
                 "delta",
@@ -123,8 +124,9 @@ fn main() -> ExitCode {
                 materialized += c.materialized_bytes;
                 merges += c.merges;
                 println!(
-                    "{:<8} {:>8} {:>7} {:>6} {:>6} {:>8} {:>11} {:>12} {:>6.3}",
+                    "{:<8} {:>8} {:>8} {:>7} {:>6} {:>6} {:>8} {:>11} {:>12} {:>6.3}",
                     c.oid,
+                    c.versions,
                     c.segments,
                     c.anchors,
                     c.deltas,
@@ -195,12 +197,13 @@ fn main() -> ExitCode {
                 println!("already format {}: nothing to do", r.to_format);
             } else {
                 println!(
-                    "migrated format {} -> {}: {} version and {} chain records, \
-                     {} -> {} bytes",
+                    "migrated format {} -> {}: {} version and {} chain records \
+                     ({} segments), {} -> {} bytes",
                     r.from_format,
                     r.to_format,
                     r.version_records,
                     r.chain_records,
+                    r.segment_records,
                     r.bytes_before,
                     r.bytes_after
                 );

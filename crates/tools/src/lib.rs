@@ -77,6 +77,8 @@ pub struct ChainSummary {
     /// Object id.
     pub oid: u64,
     /// Versions covered by the chain (its temporal suffix of history).
+    pub versions: u64,
+    /// Segment records the chain is stored in (one per anchor).
     pub segments: u64,
     /// Full-snapshot entries.
     pub anchors: u64,
@@ -88,7 +90,7 @@ pub struct ChainSummary {
     /// the DAG joins: each one was checked in by `Txn::merge` and
     /// records a second derivation parent alongside `dprev`.
     pub merges: u64,
-    /// Bytes the heap actually stores for the chain record.
+    /// Bytes the heap stores for the chain's segment records.
     pub encoded_bytes: u64,
     /// Bytes whole-body storage would hold for the same versions.
     pub materialized_bytes: u64,
@@ -114,7 +116,8 @@ pub fn chain_report(path: &Path) -> Result<Vec<ChainSummary>> {
                 }
                 out.push(ChainSummary {
                     oid: oid.0,
-                    segments: s.versions,
+                    versions: s.versions,
+                    segments: s.segments,
                     anchors: s.anchors,
                     deltas: s.deltas,
                     interval: s.interval,
@@ -609,9 +612,11 @@ mod tests {
         let report = chain_report(&path).unwrap();
         assert_eq!(report.len(), 1, "only the versioned object has a chain");
         let c = &report[0];
-        assert_eq!(c.segments, 10);
+        assert_eq!(c.versions, 10);
         assert_eq!(c.interval, 4);
-        assert_eq!(c.anchors + c.deltas, c.segments);
+        assert_eq!(c.anchors + c.deltas, c.versions);
+        // One segment per anchor, each an anchor plus up to 3 deltas.
+        assert_eq!((c.segments, c.anchors), (3, 3));
         assert!(c.deltas > 0);
         assert!(c.encoded_bytes < c.materialized_bytes);
         assert!(c.ratio < 1.0);
@@ -657,7 +662,7 @@ mod tests {
         let chains = chain_report(&path).unwrap();
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].merges, 1, "the merge join must be counted");
-        assert_eq!(chains[0].segments, 4);
+        assert_eq!(chains[0].versions, 4);
 
         let text = describe_object(&path, chains[0].oid).unwrap();
         let line = text

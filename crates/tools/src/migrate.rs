@@ -1,19 +1,25 @@
 //! Offline upgrade of an `ode::Database` store to the current on-disk
 //! format (`odedump migrate <db>`).
 //!
-//! Format 2 changed how the version layer codes three byte strings:
-//! `VersionMeta.body`, `ChainLink::Anchor` and `DeltaOp::Insert` are one
-//! length prefix plus raw bytes, where format 1 ran them through the
-//! generic `Vec<u8>` codec and spent one varint per byte. Every other
-//! record, every page and the WAL are unchanged, and so are the
-//! object bodies themselves: a body is the user type's encoding, opaque
-//! to the store, and is copied across verbatim.
+//! Format 3 stores each object's delta chain as one heap record per
+//! anchor segment (an anchor and the deltas up to the next one, coded
+//! as a `Vec<ChainEntry>`) behind a per-object `ChainHead` record in
+//! the chain table, which lists every segment's first vid and record
+//! id. Format 2 kept the whole chain in the one `ObjectChain` record
+//! the chain table pointed at. Format 1 also coded three byte strings —
+//! `VersionMeta.body`, `ChainLink::Anchor` and `DeltaOp::Insert` — with
+//! the generic `Vec<u8>` codec, one varint per byte, where format 2 on
+//! writes one length prefix plus raw bytes. Every other record, every
+//! page and the WAL are unchanged, and so are the object bodies
+//! themselves: a body is the user type's encoding, opaque to the
+//! store, and is copied across verbatim.
 //!
-//! The format-1 decoding lives here only, as private mirror types
-//! derived with the codec macros, so the engine's own decode path has
-//! no format branch. The rewrite of every version record and every
-//! chain record and the header stamp commit as one storage
-//! transaction: a crash leaves either the old file or the upgraded one.
+//! The older formats' decoding lives here only, as private mirror
+//! types derived with the codec macros, so the engine's own decode
+//! path has no format branch. The rewrite of every version record (from
+//! format 1), the split of every chain record and the header stamp
+//! commit as one storage transaction: a crash leaves either the old
+//! file or the upgraded one.
 
 use std::path::Path;
 
@@ -22,7 +28,9 @@ use ode_object::{KvTable, ObjectHeap};
 use ode_storage::heap::RecordId;
 use ode_storage::store::FORMAT_VERSION;
 use ode_storage::{Store, StoreOptions, Tx};
-use ode_version::{ChainEntry, ChainLink, ObjectChain, VersionMeta, VersionStoreLayout};
+use ode_version::{
+    ChainEntry, ChainHead, ChainLink, ObjectChain, SegmentRef, VersionMeta, VersionStoreLayout,
+};
 
 use crate::Result;
 
@@ -97,6 +105,34 @@ mod v1 {
     });
 }
 
+/// The format-2 mirror of the chain record: the whole chain in one
+/// record. Its entries code exactly as format 3's segment entries do.
+mod v2 {
+    use ode_codec::impl_persist_struct;
+    use ode_version::ChainEntry;
+
+    pub struct ObjectChain {
+        pub interval: u64,
+        pub block: u64,
+        pub entries: Vec<ChainEntry>,
+    }
+    impl_persist_struct!(ObjectChain {
+        interval,
+        block,
+        entries
+    });
+}
+
+impl From<v2::ObjectChain> for ObjectChain {
+    fn from(c: v2::ObjectChain) -> Self {
+        ObjectChain {
+            interval: c.interval,
+            block: c.block,
+            entries: c.entries,
+        }
+    }
+}
+
 impl From<v1::VersionMeta> for VersionMeta {
     fn from(m: v1::VersionMeta) -> Self {
         VersionMeta {
@@ -154,10 +190,13 @@ pub struct MigrationReport {
     pub from_format: u32,
     /// Format the store is in now ([`FORMAT_VERSION`]).
     pub to_format: u32,
-    /// Version records rewritten.
+    /// Version records rewritten (format 1 only: format 2 codes them
+    /// as format 3 does).
     pub version_records: u64,
-    /// Chain records rewritten.
+    /// Chain records split into segments.
     pub chain_records: u64,
+    /// Segment records the chains were split into.
+    pub segment_records: u64,
     /// Encoded bytes of the rewritten records before the rewrite.
     pub bytes_before: u64,
     /// Encoded bytes of the rewritten records after the rewrite.
@@ -182,10 +221,10 @@ pub fn migrate(path: &Path) -> Result<MigrationReport> {
     Ok(report)
 }
 
-/// Rewrite every version and chain record of an open store (see
-/// [`Store::open_for_upgrade`]) and stamp the header, committed as one
-/// transaction. The commit is durable in the WAL; the caller decides
-/// when to checkpoint.
+/// Rewrite the records of an open store (see
+/// [`Store::open_for_upgrade`]) whose coding changed since its format,
+/// and stamp the header, committed as one transaction. The commit is
+/// durable in the WAL; the caller decides when to checkpoint.
 pub fn migrate_store(store: &Store) -> Result<MigrationReport> {
     let from_format = store.format_version()?;
     let mut report = MigrationReport {
@@ -193,6 +232,7 @@ pub fn migrate_store(store: &Store) -> Result<MigrationReport> {
         to_format: FORMAT_VERSION,
         version_records: 0,
         chain_records: 0,
+        segment_records: 0,
         bytes_before: 0,
         bytes_after: 0,
     };
@@ -202,18 +242,18 @@ pub fn migrate_store(store: &Store) -> Result<MigrationReport> {
     let layout = VersionStoreLayout::default();
     let heap = ObjectHeap::new(layout.heap_slot);
     let mut tx = store.begin();
-    report.version_records = rewrite::<v1::VersionMeta, VersionMeta>(
-        &mut tx,
-        heap,
-        KvTable::new(layout.ver_table_slot),
-        &mut report,
-    )?;
-    report.chain_records = rewrite::<v1::ObjectChain, ObjectChain>(
-        &mut tx,
-        heap,
-        KvTable::new(layout.chain_table_slot),
-        &mut report,
-    )?;
+    let chains = KvTable::new(layout.chain_table_slot);
+    if from_format == 1 {
+        report.version_records = rewrite::<v1::VersionMeta, VersionMeta>(
+            &mut tx,
+            heap,
+            KvTable::new(layout.ver_table_slot),
+            &mut report,
+        )?;
+        split_chains::<v1::ObjectChain>(&mut tx, heap, chains, &mut report)?;
+    } else {
+        split_chains::<v2::ObjectChain>(&mut tx, heap, chains, &mut report)?;
+    }
     tx.stamp_format_version()?;
     tx.commit()?;
     Ok(report)
@@ -239,4 +279,39 @@ fn rewrite<Old: Persist, New: Persist + From<Old>>(
         }
     }
     Ok(entries.len() as u64)
+}
+
+/// Replace every whole-chain record `table` points at (decoded as
+/// `Old`) by its format-3 form: one new record per anchor segment, and
+/// the head listing them in the old record's place, re-pointing the
+/// entry when the head moved.
+fn split_chains<Old: Persist + Into<ObjectChain>>(
+    tx: &mut Tx<'_>,
+    heap: ObjectHeap,
+    table: KvTable,
+    report: &mut MigrationReport,
+) -> Result<()> {
+    for (oid, rid) in table.scan_all(tx)? {
+        let old = heap.load_bytes(tx, RecordId::from_u64(rid))?;
+        report.bytes_before += old.len() as u64;
+        let chain: ObjectChain = from_bytes::<Old>(&old)?.into();
+        let mut head = ChainHead::new(chain.config());
+        for seg in chain.into_segments() {
+            let bytes = to_bytes(&seg.entries);
+            report.bytes_after += bytes.len() as u64;
+            head.segments.push(SegmentRef {
+                first: seg.entries[0].vid,
+                rid: heap.insert_raw(tx, &bytes)?.to_u64(),
+            });
+        }
+        let bytes = to_bytes(&head);
+        report.bytes_after += bytes.len() as u64;
+        report.segment_records += head.segments.len() as u64;
+        report.chain_records += 1;
+        let new_rid = heap.replace_raw(tx, RecordId::from_u64(rid), &bytes)?;
+        if new_rid.to_u64() != rid {
+            table.put(tx, oid, new_rid.to_u64())?;
+        }
+    }
+    Ok(())
 }

@@ -1,20 +1,27 @@
-//! Delta-chain body storage: one anchored chain record per object.
+//! Delta-chain body storage: an object's chain, stored as one heap
+//! record per anchor segment.
 //!
 //! The paper's §2 observation — versions can be stored as *differences*
 //! along the derived-from relationship — applied to the production
 //! engine.  When chain storage is enabled (see
-//! [`ChainConfig`]), an object's version bodies live in a single
-//! [`ObjectChain`] record instead of one whole copy per
-//! [`VersionMeta`](crate::VersionMeta):
+//! [`ChainConfig`]), an object's version bodies live in its chain
+//! instead of one whole copy per [`VersionMeta`](crate::VersionMeta):
 //!
 //! * entries run in **temporal order** and always cover a suffix of the
 //!   object's temporal history ending at the latest version (objects
 //!   that predate chain storage keep their old whole-body records — the
 //!   migration story for existing databases);
-//! * `entries[0]` is always an [`ChainLink::Anchor`] (a full snapshot),
-//!   and an anchor recurs at least every `interval` entries, so
-//!   materializing **any** version applies at most `interval - 1`
-//!   deltas;
+//! * the chain is cut into **segments**: each segment is one anchor
+//!   ([`ChainLink::Anchor`], a full snapshot) followed by at most
+//!   `interval - 1` forward deltas, so materializing **any** version
+//!   applies at most `interval - 1` deltas and reads one segment;
+//! * each segment is its own heap record (its encoded
+//!   `Vec<ChainEntry>`), and a small per-object [`ChainHead`] record in
+//!   the chain table lists the segments — first vid and record id — in
+//!   vid order. A check-in rewrites only the tail segment (and the
+//!   head, when a segment opens or the tail record moves); a
+//!   historical read loads the head and the one segment holding its
+//!   vid;
 //! * the **latest** version additionally keeps its whole body in its
 //!   `VersionMeta.body` (the chain can reproduce it too — the meta copy
 //!   is a read-path cache), so `latest()` reads cost exactly what
@@ -22,8 +29,9 @@
 //!   cleared.
 //!
 //! Version ids are allocated monotonically and entries are appended in
-//! allocation order, so `entries` is sorted by vid and membership is a
-//! binary search.
+//! allocation order, so entries are sorted by vid across the whole
+//! chain: the head locates a vid's segment by binary search on first
+//! vids, and the segment locates its entry the same way.
 
 use ode_codec::{impl_persist_struct, DecodeError, Persist, Reader, Writer};
 use ode_delta::{apply, diff_with_block, Delta, DEFAULT_BLOCK};
@@ -114,8 +122,12 @@ pub struct ChainEntry {
 
 impl_persist_struct!(ChainEntry { vid, link });
 
-/// The per-object chain record: every chained version's body, as
-/// periodic anchors plus forward deltas.
+/// A run of chain entries with the chain's parameters: a whole
+/// object's chain (as [`VersionStore::load_chain`] assembles it, and
+/// as format 2 stored it in one record) or one stored segment of it.
+/// The operations below work on either.
+///
+/// [`VersionStore::load_chain`]: crate::VersionStore::load_chain
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectChain {
     /// Anchor spacing this chain was built with.
@@ -159,6 +171,21 @@ impl ObjectChain {
         self.index_of(vid).is_some()
     }
 
+    /// The config this chain was built with.
+    pub fn config(&self) -> ChainConfig {
+        ChainConfig {
+            anchor_interval: self.interval,
+            block: self.block,
+        }
+    }
+
+    /// Whether this run, as a segment, holds its anchor plus
+    /// `interval - 1` deltas: the next version starts a new segment,
+    /// exactly where [`ObjectChain::append`] would write an anchor.
+    pub fn is_full(&self) -> bool {
+        self.deltas_since_anchor() as u64 + 1 >= self.interval
+    }
+
     /// Number of trailing delta entries since the last anchor.
     fn deltas_since_anchor(&self) -> usize {
         self.entries
@@ -172,7 +199,7 @@ impl ObjectChain {
     /// otherwise a delta from `prev_state` (the current last entry's
     /// state, which the caller has whole — one diff, no replay).
     pub fn append(&mut self, vid: Vid, prev_state: &[u8], state: &[u8]) {
-        let link = if self.deltas_since_anchor() as u64 + 1 >= self.interval {
+        let link = if self.is_full() {
             ChainLink::Anchor(state.to_vec())
         } else {
             ChainLink::Delta(diff_with_block(prev_state, state, self.block as usize))
@@ -281,30 +308,124 @@ impl ObjectChain {
             .count()
     }
 
-    /// Number of delta entries.
-    pub fn deltas(&self) -> usize {
-        self.entries.len() - self.anchors()
-    }
-
-    /// Encoded size of the whole chain record in bytes.
-    pub fn encoded_size(&self) -> usize {
-        ode_codec::to_bytes(self).len()
+    /// Cut this chain into segments: one per anchor, each holding its
+    /// anchor and the deltas up to the next one (format 3's layout).
+    pub fn into_segments(self) -> Vec<ObjectChain> {
+        let mut out: Vec<ObjectChain> = Vec::new();
+        for entry in self.entries {
+            match (&entry.link, out.last_mut()) {
+                (ChainLink::Delta(_), Some(seg)) => seg.entries.push(entry),
+                _ => out.push(ObjectChain {
+                    interval: self.interval,
+                    block: self.block,
+                    entries: vec![entry],
+                }),
+            }
+        }
+        out
     }
 }
 
-/// Space and shape statistics for one object's chain record.
+/// Where one segment of an object's chain is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentRef {
+    /// Vid of the segment's first entry (its anchor).
+    pub first: Vid,
+    /// Heap record id of the segment record.
+    pub rid: u64,
+}
+
+impl_persist_struct!(SegmentRef { first, rid });
+
+/// The per-object chain head record (format 3): the chain's
+/// parameters and its segments in vid order. It changes only when a
+/// segment opens, empties, loses its first entry or moves in the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainHead {
+    /// Anchor spacing: a segment holds at most this many entries.
+    pub interval: u64,
+    /// Diff block size.
+    pub block: u64,
+    /// The segments, oldest first.
+    pub segments: Vec<SegmentRef>,
+}
+
+impl_persist_struct!(ChainHead {
+    interval,
+    block,
+    segments
+});
+
+impl ChainHead {
+    /// A head with no segments yet.
+    pub fn new(config: ChainConfig) -> ChainHead {
+        ChainHead {
+            interval: config.anchor_interval.max(1),
+            block: config.block,
+            segments: Vec::new(),
+        }
+    }
+
+    /// Index of the segment that holds `vid` if the chain stores it:
+    /// the last segment whose first vid is at most `vid`.
+    pub(crate) fn segment_for(&self, vid: Vid) -> Option<usize> {
+        self.segments
+            .partition_point(|s| s.first.0 <= vid.0)
+            .checked_sub(1)
+    }
+
+    /// What a read of `vid` needs from an encoded head record, without
+    /// building its segment list: an empty run with the chain's
+    /// parameters, and the ref of the segment that would hold `vid`.
+    /// The scan stops at the first segment past `vid`, so a lookup
+    /// costs a few varint reads per segment and no allocation.
+    pub fn locate(
+        bytes: &[u8],
+        vid: Vid,
+    ) -> std::result::Result<(ObjectChain, Option<SegmentRef>), DecodeError> {
+        let mut r = Reader::new(bytes);
+        let run = ObjectChain {
+            interval: r.get_varint()?,
+            block: r.get_varint()?,
+            entries: Vec::new(),
+        };
+        let mut found = None;
+        for _ in 0..r.get_count()? {
+            let seg = SegmentRef::decode(&mut r)?;
+            if seg.first.0 > vid.0 {
+                break;
+            }
+            found = Some(seg);
+        }
+        Ok((run, found))
+    }
+
+    /// An empty run with this chain's parameters.
+    pub(crate) fn empty_run(&self) -> ObjectChain {
+        ObjectChain {
+            interval: self.interval,
+            block: self.block,
+            entries: Vec::new(),
+        }
+    }
+}
+
+/// Space and shape statistics for one object's chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainStats {
     /// Versions stored in the chain.
     pub versions: u64,
+    /// Segment records the chain is stored in.
+    pub segments: u64,
     /// Full-snapshot entries.
     pub anchors: u64,
     /// Delta entries.
     pub deltas: u64,
     /// Anchor spacing the chain was built with.
     pub interval: u64,
-    /// Encoded size of the chain record (what the heap actually
-    /// stores), in bytes.
+    /// Encoded size of the chain's segment records summed (what the
+    /// heap stores for the bodies; the small head record is not
+    /// counted), in bytes.
     pub encoded_bytes: u64,
     /// Sum of every stored version's materialized state length — what
     /// whole-body storage would hold for the same versions.
@@ -483,6 +604,51 @@ mod tests {
                 assert_eq!(chain.state_at(idx).unwrap(), states[orig]);
             }
         }
+    }
+
+    #[test]
+    fn into_segments_cuts_at_every_anchor() {
+        let states = evolution(10, 400);
+        let chain = build(&states, 4);
+        let segments = chain.clone().into_segments();
+        let lens: Vec<usize> = segments.iter().map(|s| s.entries.len()).collect();
+        assert_eq!(lens, vec![4, 4, 2]);
+        let mut idx = 0;
+        for seg in &segments {
+            assert_eq!(seg.anchors(), 1);
+            assert!(matches!(seg.entries[0].link, ChainLink::Anchor(_)));
+            for pos in 0..seg.entries.len() {
+                assert_eq!(seg.state_at(pos).unwrap(), states[idx]);
+                idx += 1;
+            }
+        }
+        let joined: Vec<ChainEntry> = segments.into_iter().flat_map(|s| s.entries).collect();
+        assert_eq!(joined, chain.entries);
+    }
+
+    #[test]
+    fn head_lookup_finds_the_segment_in_place() {
+        let head = ChainHead {
+            interval: 4,
+            block: 32,
+            segments: [3u64, 9, 20]
+                .iter()
+                .map(|&first| SegmentRef {
+                    first: Vid(first),
+                    rid: first * 100,
+                })
+                .collect(),
+        };
+        let bytes = ode_codec::to_bytes(&head);
+        for vid in 0..30 {
+            let want = head.segment_for(Vid(vid)).map(|i| head.segments[i]);
+            let (run, got) = ChainHead::locate(&bytes, Vid(vid)).unwrap();
+            assert_eq!(got, want, "vid {vid}");
+            assert_eq!((run.interval, run.block), (4, 32));
+        }
+        assert_eq!(head.segment_for(Vid(2)), None);
+        assert_eq!(head.segment_for(Vid(9)), Some(1));
+        assert_eq!(head.segment_for(Vid(99)), Some(2));
     }
 
     #[test]

@@ -6,7 +6,9 @@ use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
 
 use crate::cache::MaterializeCache;
-use crate::chain::{ChainConfig, ChainLink, ChainStats, ObjectChain, VersionDiff};
+use crate::chain::{
+    ChainConfig, ChainEntry, ChainHead, ChainLink, ChainStats, ObjectChain, SegmentRef, VersionDiff,
+};
 use crate::records::{ObjectMeta, VersionMeta};
 use crate::{Result, VersionError};
 
@@ -27,7 +29,7 @@ pub struct VersionStoreLayout {
     pub vid_slot: usize,
     /// Slot of the per-type extent directory.
     pub extent_slot: usize,
-    /// Slot of the oid → delta-chain-record table (empty unless chain
+    /// Slot of the oid → delta-chain-head table (empty unless chain
     /// storage has ever been enabled on this store).
     pub chain_table_slot: usize,
 }
@@ -186,35 +188,147 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Load an object's delta-chain record, if it has one.
-    pub fn load_chain(&self, tx: &mut impl PageRead, oid: Oid) -> Result<Option<ObjectChain>> {
+    /// Load an object's chain head record, if it has a chain.
+    pub fn load_chain_head(&self, tx: &mut impl PageRead, oid: Oid) -> Result<Option<ChainHead>> {
         match self.chain_table.get(tx, oid.0)? {
             Some(rid) => Ok(Some(self.heap.load(tx, RecordId::from_u64(rid))?)),
             None => Ok(None),
         }
     }
 
-    fn save_chain(&self, tx: &mut impl PageWrite, oid: Oid, chain: &ObjectChain) -> Result<()> {
-        self.save_record(tx, self.chain_table, oid.0, chain)
+    /// Load an object's whole delta chain, every segment concatenated
+    /// in order, if it has one. Reads every segment record: a tool and
+    /// test view, not an engine path.
+    pub fn load_chain(&self, tx: &mut impl PageRead, oid: Oid) -> Result<Option<ObjectChain>> {
+        let Some(head) = self.load_chain_head(tx, oid)? else {
+            return Ok(None);
+        };
+        let mut chain = head.empty_run();
+        for idx in 0..head.segments.len() {
+            chain
+                .entries
+                .extend(self.load_segment(tx, &head, idx)?.entries);
+        }
+        Ok(Some(chain))
     }
 
-    fn drop_chain(&self, tx: &mut impl PageWrite, oid: Oid) -> Result<()> {
+    /// Load segment `idx` of `head`'s chain, carrying the chain's
+    /// parameters so the [`ObjectChain`] operations apply to it.
+    fn load_segment(
+        &self,
+        tx: &mut impl PageRead,
+        head: &ChainHead,
+        idx: usize,
+    ) -> Result<ObjectChain> {
+        let rid = RecordId::from_u64(head.segments[idx].rid);
+        Ok(ObjectChain {
+            entries: self.heap.load(tx, rid)?,
+            ..head.empty_run()
+        })
+    }
+
+    /// The segment holding `vid`, loaded, with `vid`'s index in it —
+    /// `None` when the chain does not store `vid`.
+    fn find_entry(
+        &self,
+        tx: &mut impl PageRead,
+        head: &ChainHead,
+        vid: Vid,
+    ) -> Result<Option<(usize, ObjectChain, usize)>> {
+        let Some(idx) = head.segment_for(vid) else {
+            return Ok(None);
+        };
+        let seg = self.load_segment(tx, head, idx)?;
+        Ok(seg.index_of(vid).map(|pos| (idx, seg, pos)))
+    }
+
+    /// Store `seg` as a new segment at the end of `head`'s chain.
+    fn push_segment(
+        &self,
+        tx: &mut impl PageWrite,
+        head: &mut ChainHead,
+        seg: &ObjectChain,
+    ) -> Result<()> {
+        #[cfg(test)]
+        tests::RECORD_WRITES.with(|n| n.set(n.get() + 1));
+        let rid = self.heap.store(tx, &seg.entries)?;
+        head.segments.push(SegmentRef {
+            first: seg.entries[0].vid,
+            rid: rid.to_u64(),
+        });
+        Ok(())
+    }
+
+    /// Write back segment `idx` after an edit: rewrite its record, or
+    /// drop it (and its head entry) once it holds no entries. Returns
+    /// whether `head` changed and must be saved too.
+    fn save_segment(
+        &self,
+        tx: &mut impl PageWrite,
+        head: &mut ChainHead,
+        idx: usize,
+        seg: &ObjectChain,
+    ) -> Result<bool> {
+        #[cfg(test)]
+        tests::RECORD_WRITES.with(|n| n.set(n.get() + 1));
+        let slot = head.segments[idx];
+        let Some(first) = seg.entries.first() else {
+            self.heap.delete(tx, RecordId::from_u64(slot.rid))?;
+            head.segments.remove(idx);
+            return Ok(true);
+        };
+        let rid = self
+            .heap
+            .replace(tx, RecordId::from_u64(slot.rid), &seg.entries)?
+            .to_u64();
+        let moved = SegmentRef {
+            first: first.vid,
+            rid,
+        };
+        head.segments[idx] = moved;
+        Ok(moved != slot)
+    }
+
+    fn save_head(&self, tx: &mut impl PageWrite, oid: Oid, head: &ChainHead) -> Result<()> {
+        if !head.segments.is_empty() {
+            return self.save_record(tx, self.chain_table, oid.0, head);
+        }
+        // Its last segment was just dropped: the head goes too.
         if let Some(rid) = self.chain_table.remove(tx, oid.0)? {
             self.heap.delete(tx, RecordId::from_u64(rid))?;
         }
         Ok(())
     }
 
+    /// Drop an object's chain: every segment record and the head.
+    fn drop_chain(&self, tx: &mut impl PageWrite, oid: Oid) -> Result<()> {
+        if let Some(rid) = self.chain_table.remove(tx, oid.0)? {
+            let rid = RecordId::from_u64(rid);
+            let head: ChainHead = self.heap.load(tx, rid)?;
+            for seg in &head.segments {
+                self.heap.delete(tx, RecordId::from_u64(seg.rid))?;
+            }
+            self.heap.delete(tx, rid)?;
+        }
+        Ok(())
+    }
+
     /// A version's state, given its meta and (optionally) its object's
-    /// chain: whole meta bodies win, empty bodies fall back to chain
-    /// materialization, and a vid absent from both is genuinely empty.
-    fn body_of(&self, meta: &VersionMeta, chain: Option<&ObjectChain>) -> Result<Vec<u8>> {
+    /// chain head: whole meta bodies win, empty bodies fall back to
+    /// materialization off the vid's segment, and a vid absent from
+    /// both is genuinely empty.
+    fn body_of(
+        &self,
+        tx: &mut impl PageRead,
+        meta: &VersionMeta,
+        head: Option<&ChainHead>,
+    ) -> Result<Vec<u8>> {
         if !meta.body.is_empty() {
             return Ok(meta.body.clone());
         }
-        if let Some(c) = chain {
-            if let Some(state) = c.state_of(meta.vid)? {
-                return Ok(state);
+        if let Some(head) = head {
+            if let Some((_, seg, pos)) = self.find_entry(tx, head, meta.vid)? {
+                return seg.state_at(pos);
             }
         }
         Ok(Vec::new())
@@ -274,13 +388,13 @@ impl VersionStore {
     pub fn new_version_from(&self, tx: &mut impl PageWrite, base: Vid) -> Result<Vid> {
         let mut base_meta = self.version_meta(tx, base)?;
         let mut object = self.object_meta(tx, base_meta.oid)?;
-        let mut chain = self.load_chain(tx, object.oid)?;
+        let head = self.load_chain_head(tx, object.oid)?;
         let vid = Vid(self.vids.next(tx)?);
 
         // The base's state: its whole meta body, or — when the base is
         // a historical chain member whose body was cleared — its
-        // materialization off the chain.
-        let base_state = self.body_of(&base_meta, chain.as_ref())?;
+        // materialization off its segment.
+        let base_state = self.body_of(tx, &base_meta, head.as_ref())?;
 
         let version = VersionMeta {
             vid,
@@ -296,7 +410,7 @@ impl VersionStore {
         };
 
         base_meta.dnext.push(vid);
-        self.check_in(tx, &mut object, &mut chain, vec![base_meta], &version)?;
+        self.check_in(tx, &mut object, head, vec![base_meta], &version)?;
         Ok(vid)
     }
 
@@ -320,7 +434,7 @@ impl VersionStore {
             return Err(VersionError::MergeMismatch { a, b });
         }
         let mut object = self.object_meta(tx, a_meta.oid)?;
-        let mut chain = self.load_chain(tx, object.oid)?;
+        let head = self.load_chain_head(tx, object.oid)?;
         let vid = Vid(self.vids.next(tx)?);
 
         let version = VersionMeta {
@@ -338,7 +452,7 @@ impl VersionStore {
 
         a_meta.dnext.push(vid);
         b_meta.dnext.push(vid);
-        self.check_in(tx, &mut object, &mut chain, vec![a_meta, b_meta], &version)?;
+        self.check_in(tx, &mut object, head, vec![a_meta, b_meta], &version)?;
         Ok(vid)
     }
 
@@ -347,12 +461,13 @@ impl VersionStore {
     /// records with their `dnext` lists updated but not yet saved. When
     /// one of them is the temporal tail — every plain check-in derives
     /// from the latest — that record is updated in place and written
-    /// once; otherwise the tail is loaded.
+    /// once; otherwise the tail is loaded. `head` is the object's chain
+    /// head, if it has a chain.
     fn check_in(
         &self,
         tx: &mut impl PageWrite,
         object: &mut ObjectMeta,
-        chain: &mut Option<ObjectChain>,
+        head: Option<ChainHead>,
         mut parents: Vec<VersionMeta>,
         version: &VersionMeta,
     ) -> Result<()> {
@@ -365,37 +480,49 @@ impl VersionStore {
         };
         let tail = &mut parents[tail];
         tail.tnext = version.vid;
-        if chain.is_some() || self.chain.is_some() {
+        if head.is_some() || self.chain.is_some() {
             // Chain storage: the outgoing latest surrenders its whole
             // body to the chain (as the delta base / lazy first anchor)
             // and the new version becomes the chain's last entry. The
             // new latest keeps its whole body in its meta, so latest
             // reads never touch the chain.
             let prev_state = std::mem::take(&mut tail.body);
-            let c = match chain.as_mut() {
-                Some(c) => c,
+            let (mut head, mut seg, mut head_dirty) = match head {
+                Some(head) => {
+                    let seg = self.load_segment(tx, &head, head.segments.len() - 1)?;
+                    (head, seg, false)
+                }
                 None => {
                     // First chained version of this object: the chain
                     // starts at the outgoing latest, snapshotted whole.
                     // Any older versions keep their whole-body records
                     // (the migration path for pre-chain databases).
-                    *chain = Some(ObjectChain::new(
-                        self.chain.expect("checked above"),
-                        object.latest,
-                        prev_state.clone(),
-                    ));
-                    chain.as_mut().expect("just set")
+                    let config = self.chain.expect("checked above");
+                    let mut head = ChainHead::new(config);
+                    let seg = ObjectChain::new(config, object.latest, prev_state.clone());
+                    self.push_segment(tx, &mut head, &seg)?;
+                    (head, seg, true)
                 }
             };
-            c.append(version.vid, &prev_state, &version.body);
+            // Only the tail segment is read and written. Where a whole
+            // chain would take an anchor, a new segment opens instead.
+            if seg.is_full() {
+                let fresh = ObjectChain::new(seg.config(), version.vid, version.body.clone());
+                self.push_segment(tx, &mut head, &fresh)?;
+                head_dirty = true;
+            } else {
+                seg.append(version.vid, &prev_state, &version.body);
+                let idx = head.segments.len() - 1;
+                head_dirty |= self.save_segment(tx, &mut head, idx, &seg)?;
+            }
+            if head_dirty {
+                self.save_head(tx, object.oid, &head)?;
+            }
         }
         for meta in &parents {
             self.save_version(tx, meta)?;
         }
         self.save_version(tx, version)?;
-        if let Some(c) = chain.as_ref() {
-            self.save_chain(tx, object.oid, c)?;
-        }
         object.latest = version.vid;
         object.version_count += 1;
         self.save_object(tx, object)?;
@@ -434,29 +561,30 @@ impl VersionStore {
         }
 
         // Chain repair, computed before the graph splices so replayed
-        // states come from the untouched record. Deleting the latest
+        // states come from the untouched segments. Deleting the latest
         // promotes its temporal predecessor back to a whole meta body
         // (so the new latest stays O(1) to read); deleting a historical
-        // member re-bases or re-anchors its successor inside the chain.
-        let mut chain = self.load_chain(tx, object.oid)?;
+        // member re-bases or re-anchors its successor inside its
+        // segment. Every segment starts with an anchor, so no repair
+        // crosses a segment boundary; a segment left empty is dropped
+        // (and the chain with its last segment: the object falls back
+        // to pre-chain whole-body versions).
         let mut promoted_body: Option<Vec<u8>> = None;
-        let mut drop_chain = false;
-        let mut chain_dirty = false;
-        if let Some(c) = chain.as_mut() {
-            if let Some(idx) = c.index_of(vid) {
+        if let Some(mut head) = self.load_chain_head(tx, object.oid)? {
+            if let Some((idx, mut seg, pos)) = self.find_entry(tx, &head, vid)? {
                 if vid == object.latest {
-                    if c.entries.len() == 1 {
-                        // The chain held only the latest; the object
-                        // falls back to pre-chain whole-body versions.
-                        drop_chain = true;
-                    } else {
-                        promoted_body = Some(c.state_at(idx - 1)?);
-                        c.remove_at(idx)?;
-                        chain_dirty = true;
-                    }
-                } else {
-                    c.remove_at(idx)?;
-                    chain_dirty = true;
+                    promoted_body = match (pos, idx) {
+                        (0, 0) => None,
+                        (0, _) => {
+                            let prev = self.load_segment(tx, &head, idx - 1)?;
+                            Some(prev.state_at(prev.entries.len() - 1)?)
+                        }
+                        _ => Some(seg.state_at(pos - 1)?),
+                    };
+                }
+                seg.remove_at(pos)?;
+                if self.save_segment(tx, &mut head, idx, &seg)? {
+                    self.save_head(tx, object.oid, &head)?;
                 }
             }
         }
@@ -557,12 +685,6 @@ impl VersionStore {
 
         object.version_count -= 1;
         self.save_object(tx, &object)?;
-        if drop_chain {
-            self.drop_chain(tx, object.oid)?;
-        } else if chain_dirty {
-            let c = chain.as_ref().expect("dirty implies loaded");
-            self.save_chain(tx, object.oid, c)?;
-        }
         self.drop_version_record(tx, vid)?;
         Ok(())
     }
@@ -623,24 +745,34 @@ impl VersionStore {
             }
         }
         // Empty meta body: either a cleared chain member or a genuinely
-        // empty version — chain membership disambiguates.
-        if let Some(chain) = self.load_chain(tx, meta.oid)? {
-            if let Some(state) = chain.state_of(vid)? {
-                if let Some((cache, epoch)) = cache {
-                    cache.put(epoch, vid.0, state.clone());
-                }
-                return Ok(state);
-            }
+        // empty version — chain membership disambiguates. Only the
+        // head (scanned in place, not decoded) and the one segment
+        // holding `vid` are read.
+        let Some(head_rid) = self.chain_table.get(tx, meta.oid.0)? else {
+            return Ok(Vec::new());
+        };
+        let head = self.heap.load_bytes(tx, RecordId::from_u64(head_rid))?;
+        let (mut seg, Some(at)) = ChainHead::locate(&head, vid)? else {
+            return Ok(Vec::new());
+        };
+        seg.entries = self.heap.load(tx, RecordId::from_u64(at.rid))?;
+        let Some(pos) = seg.index_of(vid) else {
+            return Ok(Vec::new());
+        };
+        let state = seg.state_at(pos)?;
+        if let Some((cache, epoch)) = cache {
+            cache.put(epoch, vid.0, state.clone());
         }
-        Ok(Vec::new())
+        Ok(state)
     }
 
     /// Overwrite a version's body in place (no new version is created —
     /// this is ordinary mutation through a pointer in O++).
     ///
     /// For a chained version the chain entry is re-diffed (and the
-    /// successor's delta re-based); the latest version's whole meta
-    /// body is kept in step.
+    /// successor's delta re-based) inside its segment — a segment's
+    /// successor segment starts with an anchor, so nothing beyond it
+    /// changes; the latest version's whole meta body is kept in step.
     pub fn write_body(
         &self,
         tx: &mut impl PageWrite,
@@ -655,23 +787,24 @@ impl VersionStore {
                 found: meta.tag,
             });
         }
-        let mut chain = self.load_chain(tx, meta.oid)?;
-        let idx = chain.as_ref().and_then(|c| c.index_of(vid));
-        match (chain.as_mut(), idx) {
-            (Some(c), Some(idx)) => {
-                c.set_state_at(idx, &body)?;
-                if idx + 1 == c.entries.len() {
-                    // vid is the latest: keep its whole meta body.
-                    meta.body = body;
-                    self.save_version(tx, &meta)?;
-                }
-                self.save_chain(tx, meta.oid, c)
-            }
-            _ => {
-                meta.body = body;
-                self.save_version(tx, &meta)
-            }
+        let Some(mut head) = self.load_chain_head(tx, meta.oid)? else {
+            meta.body = body;
+            return self.save_version(tx, &meta);
+        };
+        let Some((idx, mut seg, pos)) = self.find_entry(tx, &head, vid)? else {
+            meta.body = body;
+            return self.save_version(tx, &meta);
+        };
+        seg.set_state_at(pos, &body)?;
+        if meta.tnext.is_null() {
+            // vid is the latest: keep its whole meta body.
+            meta.body = body;
+            self.save_version(tx, &meta)?;
         }
+        if self.save_segment(tx, &mut head, idx, &seg)? {
+            self.save_head(tx, meta.oid, &head)?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -845,10 +978,11 @@ impl VersionStore {
     /// All versions of `oid` created in the stamp range `[from, to]`
     /// (inclusive), oldest first — "all versions of X between epochs".
     ///
-    /// Chained history is answered straight off the chain record's vid
-    /// index with **no per-version record loads**; only versions older
-    /// than the chain (or of a chain-less object) fall back to the
-    /// temporal walk, which early-terminates below `from`.
+    /// Chained history is answered straight off the chain's segments
+    /// with **no per-version record loads** — the head's first vids
+    /// skip every segment outside the range; only versions older than
+    /// the chain (or of a chain-less object) fall back to the temporal
+    /// walk, which early-terminates below `from`.
     pub fn history_between(
         &self,
         tx: &mut impl PageRead,
@@ -879,22 +1013,35 @@ impl VersionStore {
             out.reverse();
             Ok(out)
         };
-        match self.load_chain(tx, oid)? {
-            Some(chain) => {
-                let first = chain.entries[0].vid;
+        match self.load_chain_head(tx, oid)? {
+            Some(head) => {
+                let first = head.segments[0].first;
                 let mut out = if from < first.0 {
                     let pre_tail = self.version_meta(tx, first)?.tprev;
                     walk(self, tx, pre_tail)?
                 } else {
                     Vec::new()
                 };
-                out.extend(
-                    chain
-                        .entries
-                        .iter()
-                        .map(|e| e.vid)
-                        .filter(|v| v.0 >= from && v.0 <= to),
-                );
+                // Segment `i` holds vids in [first_i, first_{i+1}).
+                for (idx, s) in head.segments.iter().enumerate() {
+                    if s.first.0 > to {
+                        break;
+                    }
+                    if head
+                        .segments
+                        .get(idx + 1)
+                        .is_some_and(|n| n.first.0 <= from)
+                    {
+                        continue;
+                    }
+                    let seg = self.load_segment(tx, &head, idx)?;
+                    out.extend(
+                        seg.entries
+                            .iter()
+                            .map(|e| e.vid)
+                            .filter(|v| v.0 >= from && v.0 <= to),
+                    );
+                }
                 Ok(out)
             }
             None => walk(self, tx, object.latest),
@@ -904,69 +1051,80 @@ impl VersionStore {
     /// Summarize the difference between two versions' states —
     /// "diff v_a..v_b".
     ///
-    /// When the two are adjacent members of the same object's chain,
-    /// the stored delta is summarized directly (`stored = true`) with
-    /// **no state materialized at all**; otherwise only the two
-    /// endpoint states are materialized and diffed — never the
-    /// intermediate versions between them.
+    /// When the two are adjacent members of the same object's chain
+    /// (`to` a delta entry, so `from` sits just before it in the same
+    /// segment), the stored delta is summarized directly
+    /// (`stored = true`) with **no state materialized at all**;
+    /// otherwise only the two endpoint states are materialized and
+    /// diffed — never the intermediate versions between them.
     pub fn diff_versions(&self, tx: &mut impl PageRead, from: Vid, to: Vid) -> Result<VersionDiff> {
         let meta_a = self.version_meta(tx, from)?;
         let meta_b = self.version_meta(tx, to)?;
-        let chain_a = self.load_chain(tx, meta_a.oid)?;
+        let head_a = self.load_chain_head(tx, meta_a.oid)?;
         if meta_a.oid == meta_b.oid {
-            if let Some(c) = &chain_a {
-                if let (Some(ia), Some(ib)) = (c.index_of(from), c.index_of(to)) {
-                    if ib == ia + 1 {
-                        if let ChainLink::Delta(d) = &c.entries[ib].link {
+            if let Some(head) = &head_a {
+                if let Some((_, seg, pos)) = self.find_entry(tx, head, to)? {
+                    if pos > 0 && seg.entries[pos - 1].vid == from {
+                        if let ChainLink::Delta(d) = &seg.entries[pos].link {
                             return Ok(VersionDiff::from_delta(from, to, d, true));
                         }
                     }
                 }
             }
         }
-        let chain_b_owned;
-        let chain_b = if meta_b.oid == meta_a.oid {
-            chain_a.as_ref()
+        let head_b_owned;
+        let head_b = if meta_b.oid == meta_a.oid {
+            head_a.as_ref()
         } else {
-            chain_b_owned = self.load_chain(tx, meta_b.oid)?;
-            chain_b_owned.as_ref()
+            head_b_owned = self.load_chain_head(tx, meta_b.oid)?;
+            head_b_owned.as_ref()
         };
-        let base = self.body_of(&meta_a, chain_a.as_ref())?;
-        let target = self.body_of(&meta_b, chain_b)?;
-        let block = chain_a
+        let base = self.body_of(tx, &meta_a, head_a.as_ref())?;
+        let target = self.body_of(tx, &meta_b, head_b)?;
+        let block = head_a
             .as_ref()
-            .map(|c| c.block as usize)
+            .map(|h| h.block as usize)
             .unwrap_or(ode_delta::DEFAULT_BLOCK);
         let delta = ode_delta::diff_with_block(&base, &target, block);
         Ok(VersionDiff::from_delta(from, to, &delta, false))
     }
 
-    /// Space/shape statistics of an object's chain record (`None` for
-    /// objects without one). One full replay pass — fsck/odedump cost,
-    /// not a hot path.
+    /// Space/shape statistics of an object's chain (`None` for objects
+    /// without one). Decodes every segment record but replays nothing:
+    /// each delta records its target length. Whether the deltas really
+    /// apply is [`check_object`](VersionStore::check_object)'s job.
     pub fn chain_stats(&self, tx: &mut impl PageRead, oid: Oid) -> Result<Option<ChainStats>> {
-        let chain = match self.load_chain(tx, oid)? {
-            Some(c) => c,
-            None => return Ok(None),
+        let Some(head) = self.load_chain_head(tx, oid)? else {
+            return Ok(None);
         };
-        let mut materialized = 0u64;
-        let mut state: Vec<u8> = Vec::new();
-        for e in &chain.entries {
-            state = match &e.link {
-                ChainLink::Anchor(s) => s.clone(),
-                ChainLink::Delta(d) => ode_delta::apply(&state, d)
-                    .map_err(|_| VersionError::ChainCorrupt("chain entry failed to apply"))?,
-            };
-            materialized += state.len() as u64;
+        let mut stats = ChainStats {
+            versions: 0,
+            segments: head.segments.len() as u64,
+            anchors: 0,
+            deltas: 0,
+            interval: head.interval,
+            encoded_bytes: 0,
+            materialized_bytes: 0,
+        };
+        for seg in &head.segments {
+            let bytes = self.heap.load_bytes(tx, RecordId::from_u64(seg.rid))?;
+            let entries: Vec<ChainEntry> = ode_codec::from_bytes(&bytes)?;
+            stats.encoded_bytes += bytes.len() as u64;
+            stats.versions += entries.len() as u64;
+            for e in &entries {
+                stats.materialized_bytes += match &e.link {
+                    ChainLink::Anchor(state) => {
+                        stats.anchors += 1;
+                        state.len() as u64
+                    }
+                    ChainLink::Delta(d) => {
+                        stats.deltas += 1;
+                        d.target_len
+                    }
+                };
+            }
         }
-        Ok(Some(ChainStats {
-            versions: chain.entries.len() as u64,
-            anchors: chain.anchors() as u64,
-            deltas: chain.deltas() as u64,
-            interval: chain.interval,
-            encoded_bytes: chain.encoded_size() as u64,
-            materialized_bytes: materialized,
-        }))
+        Ok(Some(stats))
     }
 
     /// All live objects of a type, in oid order (the O++ extent query).
@@ -1078,61 +1236,74 @@ impl VersionStore {
         if !live.contains(&object.root) {
             return Err(corrupt("root is not a live version"));
         }
-        if let Some(chain) = self.load_chain(tx, oid)? {
-            self.check_chain(tx, &object, &history, &chain)?;
+        if let Some(head) = self.load_chain_head(tx, oid)? {
+            self.check_chain(tx, &object, &history, &head)?;
         }
         Ok(())
     }
 
-    /// Chain-specific invariants: the chain is a contiguous temporal
-    /// suffix ending at `latest`, starts at an anchor, never runs
-    /// `interval` deltas without one, replays to exactly the latest
-    /// meta body, and every non-last member's meta body is cleared.
+    /// Chain-specific invariants, segment by segment: the head lists at
+    /// least one segment and each segment record is non-empty, starts
+    /// with the anchor the head names, holds no other anchor and no
+    /// more than `interval` entries (so no run of deltas reaches
+    /// `interval`); the segments, concatenated in head order, are the
+    /// contiguous temporal suffix ending at `latest` (so they are in
+    /// vid order with no gap or overlap); the replay reproduces
+    /// exactly the latest meta body; and every non-last member's meta
+    /// body is cleared.
     fn check_chain(
         &self,
         tx: &mut impl PageRead,
         object: &ObjectMeta,
         history: &[Vid],
-        chain: &ObjectChain,
+        head: &ChainHead,
     ) -> Result<()> {
         let corrupt = VersionError::ChainCorrupt;
-        if chain.entries.is_empty() {
-            return Err(corrupt("chain record has no entries"));
+        if head.segments.is_empty() {
+            return Err(corrupt("chain head lists no segments"));
         }
-        if chain.entries.len() > history.len() {
+        let interval = head.interval.max(1);
+        let mut entries: Vec<ChainEntry> = Vec::new();
+        for idx in 0..head.segments.len() {
+            let seg = self.load_segment(tx, head, idx)?;
+            let Some(first) = seg.entries.first() else {
+                return Err(corrupt("chain segment has no entries"));
+            };
+            if first.vid != head.segments[idx].first {
+                return Err(corrupt("chain head misnames a segment's first version"));
+            }
+            if !matches!(first.link, ChainLink::Anchor(_)) {
+                return Err(corrupt("chain segment does not start at an anchor"));
+            }
+            if seg.anchors() != 1 {
+                return Err(corrupt("chain segment holds a second anchor"));
+            }
+            if seg.entries.len() as u64 > interval {
+                return Err(corrupt("anchor interval exceeded"));
+            }
+            entries.extend(seg.entries);
+        }
+        if entries.len() > history.len() {
             return Err(corrupt("chain longer than the temporal history"));
         }
-        let suffix = &history[history.len() - chain.entries.len()..];
-        for (e, &vid) in chain.entries.iter().zip(suffix) {
+        let suffix = &history[history.len() - entries.len()..];
+        for (e, &vid) in entries.iter().zip(suffix) {
             if e.vid != vid {
-                return Err(corrupt("chain is not the temporal suffix"));
+                return Err(corrupt("chain segments are not the temporal suffix"));
             }
         }
-        if chain.entries.last().expect("non-empty").vid != object.latest {
+        if entries.last().expect("non-empty").vid != object.latest {
             return Err(corrupt("chain does not end at the latest version"));
         }
-        if !matches!(chain.entries[0].link, ChainLink::Anchor(_)) {
-            return Err(corrupt("chain does not start at an anchor"));
-        }
-        let mut run = 0u64;
         let mut state: Vec<u8> = Vec::new();
-        for (i, e) in chain.entries.iter().enumerate() {
-            match &e.link {
-                ChainLink::Anchor(s) => {
-                    run = 0;
-                    state = s.clone();
-                }
-                ChainLink::Delta(d) => {
-                    run += 1;
-                    if run >= chain.interval.max(1) {
-                        return Err(corrupt("anchor interval exceeded"));
-                    }
-                    state = ode_delta::apply(&state, d)
-                        .map_err(|_| corrupt("chain entry failed to apply"))?;
-                }
-            }
+        for (i, e) in entries.iter().enumerate() {
+            state = match &e.link {
+                ChainLink::Anchor(s) => s.clone(),
+                ChainLink::Delta(d) => ode_delta::apply(&state, d)
+                    .map_err(|_| corrupt("chain entry failed to apply"))?,
+            };
             let meta = self.version_meta(tx, e.vid)?;
-            if i + 1 == chain.entries.len() {
+            if i + 1 == entries.len() {
                 if meta.body != state {
                     return Err(corrupt("latest meta body disagrees with chain replay"));
                 }

@@ -37,7 +37,9 @@ mod graph;
 mod records;
 
 pub use cache::MaterializeCache;
-pub use chain::{ChainConfig, ChainEntry, ChainLink, ChainStats, ObjectChain, VersionDiff};
+pub use chain::{
+    ChainConfig, ChainEntry, ChainHead, ChainLink, ChainStats, ObjectChain, SegmentRef, VersionDiff,
+};
 pub use error::{Result, VersionError};
 pub use export::version_graph_dot;
 pub use graph::{VersionStore, VersionStoreLayout};

@@ -465,3 +465,188 @@ mod differential {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// Segment boundaries, checked against the whole-body oracle.
+// ----------------------------------------------------------------------
+
+/// A chained store (anchor interval 4: segments of an anchor plus up to
+/// three deltas) and a whole-body oracle, driven through the same
+/// operations so their vids coincide.
+struct Twin {
+    paths: [std::path::PathBuf; 2],
+    stores: [Store; 2],
+    vs: [VersionStore; 2],
+    oid: ode_version::Oid,
+    vids: Vec<Vid>,
+}
+
+impl Twin {
+    /// An object with `versions` versions, created under chain storage,
+    /// so its chain starts at its first version: segment `k` holds the
+    /// versions `4k..4k+4` until something is deleted.
+    fn new(name: &str, versions: usize) -> Twin {
+        let paths = [
+            temp_path(&format!("{name}-chain")),
+            temp_path(&format!("{name}-whole")),
+        ];
+        let stores = [
+            Store::create(&paths[0], StoreOptions::default()).unwrap(),
+            Store::create(&paths[1], StoreOptions::default()).unwrap(),
+        ];
+        let vs = [chained(4), VersionStore::new(VersionStoreLayout::default())];
+        let mut twin = Twin {
+            paths,
+            stores,
+            vs,
+            oid: ode_version::Oid(0),
+            vids: Vec::new(),
+        };
+        let created = twin.each(|vs, tx| vs.create_object(tx, TAG, body(0)).unwrap());
+        (twin.oid, twin.vids) = (created.0, vec![created.1]);
+        for i in 1..versions {
+            let oid = twin.oid;
+            let v = twin.each(|vs, tx| {
+                let v = vs.new_version_of(tx, oid).unwrap();
+                vs.write_body(tx, v, TAG, body(i)).unwrap();
+                v
+            });
+            twin.vids.push(v);
+        }
+        twin
+    }
+
+    /// Run `op` on both stores, each in its own committed transaction,
+    /// and return the chained store's result (which must equal the
+    /// oracle's).
+    fn each<R: PartialEq + std::fmt::Debug>(
+        &self,
+        op: impl Fn(&VersionStore, &mut ode_storage::Tx<'_>) -> R,
+    ) -> R {
+        let mut out = Vec::new();
+        for (store, vs) in self.stores.iter().zip(&self.vs) {
+            let mut tx = store.begin();
+            out.push(op(vs, &mut tx));
+            tx.commit().unwrap();
+        }
+        let oracle = out.pop().unwrap();
+        let got = out.pop().unwrap();
+        assert_eq!(got, oracle, "chained store and oracle disagree");
+        got
+    }
+
+    fn delete(&mut self, vid: Vid) {
+        self.each(|vs, tx| vs.delete_version(tx, vid).unwrap());
+        self.vids.retain(|&v| v != vid);
+    }
+
+    /// Every live version reads the same from both stores, both pass
+    /// the invariant checks, and the chain's segments start at `firsts`.
+    fn check(&self, firsts: &[Vid]) {
+        let (oid, vids) = (self.oid, self.vids.clone());
+        self.each(|vs, tx| {
+            vs.check_object(tx, oid).unwrap();
+            let bodies: Vec<Vec<u8>> = vids
+                .iter()
+                .map(|&v| vs.read_body(tx, v, TAG).unwrap())
+                .collect();
+            (vs.version_history(tx, oid).unwrap(), bodies)
+        });
+        let mut tx = self.stores[0].begin();
+        let head = self.vs[0].load_chain_head(&mut tx, oid).unwrap().unwrap();
+        let got: Vec<Vid> = head.segments.iter().map(|s| s.first).collect();
+        assert_eq!(got, firsts, "segment first versions");
+        let stats = self.vs[0].chain_stats(&mut tx, oid).unwrap().unwrap();
+        assert_eq!(stats.segments as usize, firsts.len());
+        assert_eq!(stats.anchors, stats.segments, "one anchor per segment");
+    }
+}
+
+impl Drop for Twin {
+    fn drop(&mut self) {
+        for p in &self.paths {
+            cleanup(p);
+        }
+    }
+}
+
+#[test]
+fn deletes_at_segment_boundaries_match_the_oracle() {
+    let mut t = Twin::new("segdel", 20);
+    let v = t.vids.clone();
+    t.check(&[v[0], v[4], v[8], v[12], v[16]]);
+    // A segment's anchor: its next entry is promoted to anchor and
+    // becomes the segment's first version.
+    t.delete(v[4]);
+    t.check(&[v[0], v[5], v[8], v[12], v[16]]);
+    // A segment's last entry: nothing to re-base, the next segment
+    // starts at its own anchor.
+    t.delete(v[11]);
+    t.check(&[v[0], v[5], v[8], v[12], v[16]]);
+    // Every entry of a middle segment: its record goes with the last.
+    for &vid in &v[12..16] {
+        t.delete(vid);
+    }
+    t.check(&[v[0], v[5], v[8], v[16]]);
+    // The latest when it alone fills the tail segment: the segment
+    // goes and its predecessor gets its whole body back.
+    t.each(|vs, tx| {
+        let oid = vs.object_of(tx, v[19]).unwrap();
+        let v20 = vs.new_version_of(tx, oid).unwrap();
+        vs.write_body(tx, v20, TAG, body(20)).unwrap();
+        v20
+    });
+    t.vids = t.each(|vs, tx| vs.version_history(tx, t.oid).unwrap());
+    let v20 = *t.vids.last().unwrap();
+    t.check(&[v[0], v[5], v[8], v[16], v20]);
+    t.delete(v20);
+    t.check(&[v[0], v[5], v[8], v[16]]);
+}
+
+#[test]
+fn write_body_at_segment_boundaries_matches_the_oracle() {
+    let t = Twin::new("segwrite", 13);
+    let v = t.vids.clone();
+    let firsts = [v[0], v[4], v[8], v[12]];
+    for (victim, tag) in [(v[4], "anchor"), (v[7], "before-boundary"), (v[0], "first")] {
+        t.each(|vs, tx| {
+            let mut b = vs.read_body(tx, victim, TAG).unwrap();
+            b.extend_from_slice(tag.as_bytes());
+            vs.write_body(tx, victim, TAG, b).unwrap();
+        });
+        t.check(&firsts);
+    }
+}
+
+#[test]
+fn diffs_and_ranges_across_segment_boundaries_match_the_oracle() {
+    let t = Twin::new("segdiff", 14);
+    let v = t.vids.clone();
+    t.check(&[v[0], v[4], v[8], v[12]]);
+    // Across a boundary: materialized from two segments, never stored
+    // (the later one is an anchor). Inside a segment: the stored delta.
+    for (from, to, stored) in [(v[3], v[4], false), (v[2], v[9], false), (v[5], v[6], true)] {
+        let mut diffs = Vec::new();
+        for (store, vs) in t.stores.iter().zip(&t.vs) {
+            let mut tx = store.begin();
+            diffs.push(vs.diff_versions(&mut tx, from, to).unwrap());
+        }
+        assert_eq!(diffs[0].stored, stored, "{from}..{to}");
+        assert!(!diffs[1].stored);
+        diffs[1].stored = diffs[0].stored;
+        assert_eq!(diffs[0], diffs[1], "{from}..{to}");
+    }
+    // Ranges starting and ending in different segments, and ranges
+    // falling between a segment's first vid and the next's.
+    let oid = t.oid;
+    for (from, to) in [
+        (v[2].0, v[9].0),
+        (v[3].0, v[4].0),
+        (v[4].0, v[12].0),
+        (v[1].0, v[13].0 + 5),
+        (v[5].0, v[6].0),
+        (0, v[7].0),
+    ] {
+        t.each(|vs, tx| vs.history_between(tx, oid, from, to).unwrap());
+    }
+}

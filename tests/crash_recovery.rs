@@ -377,18 +377,24 @@ fn chain_text(marker: u64) -> String {
 
 /// Re-exec helper for the delta-chain variant: four writers each own
 /// one object in a chain-storage database and loop pure check-ins
-/// (`newversion` + `put_version`), appending a delta to the object's
-/// chain per commit, until the parent SIGKILLs the process.
-/// Acknowledged markers are durably logged after each commit. No-op
-/// without the env var.
+/// (`newversion` + `put_version`), appending to the object's chain per
+/// commit, until the parent SIGKILLs the process. The anchor interval
+/// comes from `ODE_CRASH_CHAIN_INTERVAL` (default 4; at 1 every
+/// check-in opens a new segment). Acknowledged markers are durably
+/// logged after each commit. No-op without the env var.
 #[test]
 fn child_chained_checkin_writer() {
     let Ok(db_path) = std::env::var("ODE_CRASH_CHAIN_CHILD") else {
         return;
     };
     let ack_dir = std::env::var("ODE_CRASH_CHAIN_ACK_DIR").expect("ack dir env var");
+    let interval = std::env::var("ODE_CRASH_CHAIN_INTERVAL")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(4);
 
-    let mut options = DatabaseOptions::default().with_chain(ode::ChainConfig::with_interval(4));
+    let mut options =
+        DatabaseOptions::default().with_chain(ode::ChainConfig::with_interval(interval));
     options.storage.group_commit = true;
     options.storage.group_commit_window = std::time::Duration::from_millis(2);
     let db = Database::create(&db_path, options).expect("create db");
@@ -449,12 +455,42 @@ fn child_chained_checkin_writer() {
 /// chain record never survives.
 #[test]
 fn sigkill_mid_checkin_chained_store_recovers_acknowledged_versions() {
+    let chains = kill_chained_writer("chainkill", 4);
+    assert!(!chains.is_empty(), "no delta chain survived recovery");
+    for stats in chains {
+        // An object with committed check-ins must have kept its chain
+        // through recovery — with real deltas, not just anchors.
+        assert!(stats.versions >= 2);
+        assert!(stats.deltas > 0, "recovered chain holds no deltas");
+    }
+}
+
+/// As above with anchor interval 1, where every check-in opens a new
+/// segment record and rewrites the chain head: the SIGKILL always lands
+/// on a segment-opening check-in, and recovery keeps one valid
+/// single-anchor segment per acknowledged version.
+#[test]
+fn sigkill_mid_segment_opening_checkin_recovers_acknowledged_versions() {
+    let chains = kill_chained_writer("segkill", 1);
+    assert!(!chains.is_empty(), "no chain survived recovery");
+    for stats in chains {
+        assert!(stats.versions >= 2);
+        assert_eq!(stats.segments, stats.versions, "one segment per version");
+        assert_eq!(stats.anchors, stats.versions);
+    }
+}
+
+/// Run [`child_chained_checkin_writer`] at anchor `interval`, SIGKILL it
+/// after 40 acknowledged check-ins, recover, and check that every
+/// acknowledged revision is back with a byte-identical body and every
+/// object validates. Returns the recovered chains' statistics.
+fn kill_chained_writer(name: &str, interval: u64) -> Vec<ode::ChainStats> {
     use std::time::{Duration, Instant};
 
-    let path = temp_path("chainkill");
+    let path = temp_path(name);
     let ack_dir = {
         let mut d = std::env::temp_dir();
-        d.push(format!("ode-crash-chainkill-acks-{}", std::process::id()));
+        d.push(format!("ode-crash-{name}-acks-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).expect("create ack dir");
         d
@@ -465,6 +501,7 @@ fn sigkill_mid_checkin_chained_store_recovers_acknowledged_versions() {
         .args(["child_chained_checkin_writer", "--exact", "--nocapture"])
         .env("ODE_CRASH_CHAIN_CHILD", &path)
         .env("ODE_CRASH_CHAIN_ACK_DIR", &ack_dir)
+        .env("ODE_CRASH_CHAIN_INTERVAL", interval.to_string())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -504,22 +541,15 @@ fn sigkill_mid_checkin_chained_store_recovers_acknowledged_versions() {
     let db = Database::open(&path, DatabaseOptions::default()).expect("recover after SIGKILL");
     let mut snap = db.snapshot();
     let mut recovered = std::collections::HashMap::new();
-    let mut chains_seen = 0usize;
+    let mut chains = Vec::new();
     for p in snap.objects::<Doc>().expect("list objects") {
         snap.check_object(&p).expect("recovered object validates");
         for v in snap.version_history(&p).expect("history") {
             let doc = snap.deref_v(&v).expect("deref recovered version");
             recovered.insert(doc.rev, doc.text.clone());
         }
-        // An object with committed check-ins must have kept its chain
-        // through recovery — with real deltas, not just anchors.
-        if let Some(stats) = snap.chain_stats_raw(p.oid()).expect("chain stats") {
-            assert!(stats.versions >= 2);
-            assert!(stats.deltas > 0, "recovered chain holds no deltas");
-            chains_seen += 1;
-        }
+        chains.extend(snap.chain_stats_raw(p.oid()).expect("chain stats"));
     }
-    assert!(chains_seen > 0, "no delta chain survived recovery");
     drop(snap);
 
     // Acked ⊆ recovered, byte-identical: every acknowledged check-in
@@ -538,6 +568,7 @@ fn sigkill_mid_checkin_chained_store_recovers_acknowledged_versions() {
     drop(db);
     let _ = std::fs::remove_dir_all(&ack_dir);
     cleanup(&path);
+    chains
 }
 
 // ---------------------------------------------------------------------------
